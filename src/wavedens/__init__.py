@@ -38,6 +38,7 @@ from .baseline_kernel import (
     kernel_estimate,
 )
 from .risk_metrics import (
+    Fit,
     RiskReport,
     DecayProfile,
     lp_distance,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import click
@@ -22,14 +22,13 @@ from .cross_validation import fit_cv
 from .estimator import (Sample, apply_plan, empirical_coefficients,
                         reconstruct, theoretical_plan)
 from .processes import ProcessSpec, build_target, derived_seed, simulate
-from .risk_metrics import covariance_decay, monte_carlo_risk
+from .risk_metrics import Fit, covariance_decay, monte_carlo_risk
 from .wavelet_basis import WaveletTables, build_filter, cascade_tables
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "main"]
 
 METHODS = ("HTCV", "STCV", "theoretical-hard", "theoretical-soft",
            "kernel-rot", "kernel-cv")
-_TARGET_KINDS = ("sine_uniform_mixture", "gaussian_mixture")
 _FLOAT_FMT = "%.17g"
 
 
@@ -75,33 +74,24 @@ class ExperimentConfig:
             raise ConfigError(f"p values must be >= 1, got {self.p}")
         if any(k < 1 for k in self.moments):
             raise ConfigError(f"moment orders must be >= 1, got {self.moments}")
-        bad = set(self.wavelet) - set(_WAVELET_DEFAULTS)
-        if bad:
-            raise ConfigError(f"unknown wavelet keys {sorted(bad)}")
+        for name, allowed in (("wavelet", _WAVELET_DEFAULTS), ("decay", _DECAY_KEYS)):
+            bad = set(getattr(self, name)) - set(allowed)
+            if bad:
+                raise ConfigError(f"unknown {name} keys {sorted(bad)}")
         object.__setattr__(self, "wavelet", {**_WAVELET_DEFAULTS, **self.wavelet})
+        try:
+            build_filter(self.wavelet["family"], self.wavelet["N"])
+        except ValueError as exc:
+            raise ConfigError(f"wavelet: {exc}") from exc
+        if self.wavelet["depth"] < 4:
+            raise ConfigError(f"wavelet depth must be >= 4, got {self.wavelet['depth']}")
         if self.grid_points < 64:
             raise ConfigError("grid_points must be >= 64")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "cases": list(self.cases),
-            "methods": list(self.methods),
-            "n": list(self.n),
-            "M": self.M,
-            "p": list(self.p),
-            "moments": list(self.moments),
-            "seed": self.seed,
-            "out": self.out,
-            "wavelet": dict(self.wavelet),
-            "grid_points": self.grid_points,
-            "threads": self.threads,
-            "K": self.K,
-            "b": self.b,
-            "decay": dict(self.decay),
-        }
+        return asdict(self)
 
     def sha256(self) -> str:
         """Hash of the result-determining config fields.
@@ -132,8 +122,15 @@ class ExperimentConfig:
 
 _WAVELET_DEFAULTS = {"family": "symmlet", "N": 8, "depth": 10}
 _CASE_KEYS = {"case", "target", "target_params", "lsv_alpha", "ar_depth"}
-_CONFIG_KEYS = {"experiment", "cases", "methods", "n", "M", "p", "moments", "seed",
-                "out", "wavelet", "grid_points", "threads", "K", "b", "decay"}
+_DECAY_KEYS = {"j", "k", "n", "max_lag", "alphas"}
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+# How load_config coerces each JSON value; defaults come from ExperimentConfig.
+_COERCE = {
+    "cases": tuple, "methods": tuple, "out": str, "wavelet": dict, "decay": dict,
+    "M": int, "seed": int, "grid_points": int, "threads": int, "K": float, "b": float,
+    "n": lambda v: tuple(int(x) for x in v), "p": lambda v: tuple(float(x) for x in v),
+    "moments": lambda v: tuple(int(x) for x in v),
+}
 
 
 def _check_case_block(block: dict) -> None:
@@ -142,9 +139,10 @@ def _check_case_block(block: dict) -> None:
     bad = set(block) - _CASE_KEYS
     if bad:
         raise ConfigError(f"unknown case keys {sorted(bad)} in {block!r}")
-    if "target" in block and block["target"] not in _TARGET_KINDS:
-        raise ConfigError(
-            f"unknown target {block['target']!r}, expected one of {_TARGET_KINDS}")
+    try:
+        build_target(block.get("target", "sine_uniform_mixture"), block.get("target_params"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid target in {block!r}: {exc}") from exc
 
 
 def load_config(path: str, seed: int | None = None, out: str | None = None,
@@ -179,23 +177,8 @@ def load_config(path: str, seed: int | None = None, out: str | None = None,
         except ValueError:
             raise ConfigError(f"WAVEDENS_THREADS must be an integer, got {env!r}")
     try:
-        return ExperimentConfig(
-            experiment=raw.get("experiment", ""),
-            cases=tuple(raw.get("cases", ())),
-            methods=tuple(raw.get("methods", ("HTCV", "STCV"))),
-            n=tuple(int(v) for v in raw.get("n", (1024,))),
-            M=int(raw.get("M", 100)),
-            p=tuple(float(v) for v in raw.get("p", (2.0,))),
-            moments=tuple(int(v) for v in raw.get("moments", ())),
-            seed=int(raw.get("seed", 20260814)),
-            out=str(raw.get("out", "runs")),
-            wavelet=dict(raw.get("wavelet", {})),
-            grid_points=int(raw.get("grid_points", 4096)),
-            threads=int(raw.get("threads", 1)),
-            K=float(raw.get("K", 1.0)),
-            b=float(raw.get("b", 1.0)),
-            decay=dict(raw.get("decay", {})),
-        )
+        kwargs = {k: _COERCE.get(k, lambda v: v)(v) for k, v in raw.items()}
+        return ExperimentConfig(**{"experiment": "", "cases": (), **kwargs})
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -203,41 +186,26 @@ def load_config(path: str, seed: int | None = None, out: str | None = None,
 
 
 # ---------------------------------------------------------------------------
-# fit adapters: method name -> Sample -> (estimate, selection-like, fractions)
-
-class _PlanSelection:
-    """Duck-typed stand-in for CvSelection when thresholds are theoretical."""
-
-    def __init__(self, plan):
-        self.j1_hat = plan.j1
-        self.lambdas = dict(plan.lambdas)
-
+# fit adapters: method name -> Sample -> Fit
 
 def _cv_fit(sample, tables, mode, grid_points):
-    estimate, selection = fit_cv(sample, tables, mode=mode, grid_points=grid_points)
-    coeffs = empirical_coefficients(sample, tables, selection.j0, selection.j_star)
-    fractions = {}
-    for j in range(selection.j0, selection.j_star + 1):
-        if j <= selection.j1_hat:
-            values = coeffs.detail(j).values
-            fractions[j] = float(np.mean(np.abs(values) <= selection.lambdas[j]))
-        else:
-            fractions[j] = 1.0
-    return estimate, selection, fractions
+    estimate, sel = fit_cv(sample, tables, mode=mode, grid_points=grid_points)
+    return Fit(estimate, j0=sel.j0, j1=sel.j1_hat, lambdas=sel.lambdas,
+               killed_fraction=sel.killed_fraction, diagnostics=sel)
 
 
 def _theoretical_fit(sample, tables, mode, grid_points, K, b):
     plan = theoretical_plan(sample.n, tables.vanishing_moments, b=b, K=K, mode=mode)
     coeffs = apply_plan(empirical_coefficients(sample, tables, plan.j0, plan.j1), plan)
     meta = f"theoretical-{mode} j0={plan.j0} j1={plan.j1} n={sample.n} K={K}"
-    estimate = reconstruct(coeffs, tables, grid_points, meta=meta)
     fractions = {lev.j: float(lev.killed.mean()) for lev in coeffs.details}
-    return estimate, _PlanSelection(plan), fractions
+    return Fit(reconstruct(coeffs, tables, grid_points, meta=meta), j0=plan.j0,
+               j1=plan.j1, lambdas=plan.lambdas, killed_fraction=fractions)
 
 
 def _kernel_fit(sample, rule, grid_points):
     config = KernelConfig(bandwidth_rule=rule, grid_points=grid_points)
-    return kernel_estimate(sample, config), None, None
+    return Fit(kernel_estimate(sample, config))
 
 
 def make_fit(method: str, tables: WaveletTables, grid_points: int,
@@ -385,17 +353,16 @@ def fit_cmd(ctx, sample_path, method, K, b, support, family, N, depth, grid_poin
     out_dir.mkdir(parents=True, exist_ok=True)
     sample = _read_sample_csv(sample_path, (support[0], support[1]))
     tables = cascade_tables(build_filter(family, N), depth=depth)
-    fit = make_fit(method, tables, grid_points, K=K if K is not None else 1.0, b=b)
-    estimate, selection, _ = fit(sample)
+    result = make_fit(method, tables, grid_points, K=1.0 if K is None else K, b=b)(sample)
     stem = Path(sample_path).stem
     outputs: list = []
     rows = [{"x": float(x), "density": float(v)}
-            for x, v in zip(estimate.grid, estimate.values)]
+            for x, v in zip(result.estimate.grid, result.estimate.values)]
     _write(out_dir / f"{stem}_{method}_estimate.csv", _csv(rows, ["x", "density"]),
            outputs)
-    if method in ("HTCV", "STCV"):
+    if result.diagnostics is not None:
         _write(out_dir / f"{stem}_{method}_selection.json",
-               _dumps(selection.to_dict()), outputs)
+               _dumps(result.diagnostics.to_dict()), outputs)
     click.echo(f"wrote {', '.join(outputs)} to {out_dir}")
 
 
@@ -404,6 +371,8 @@ def fit_cmd(ctx, sample_path, method, K, b, support, family, N, depth, grid_poin
 def benchmark(ctx):
     """Monte-Carlo risk for every case x n x method in the config."""
     cfg = _need_config(ctx)
+    if cfg.M < 2:
+        raise ConfigError(f"benchmark needs M >= 2 replicates, got M={cfg.M}")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = cfg.tables()

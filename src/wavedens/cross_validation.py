@@ -27,6 +27,7 @@ from .estimator import (
     ThresholdPlan,
     _level_sums,
     apply_plan,
+    empirical_coefficients,
     reconstruct,
 )
 from .wavelet_basis import WaveletTables
@@ -66,6 +67,7 @@ class CvSelection:
     `lambdas` maps every level j0 <= j <= j_star to its minimizer; levels
     above j1_hat are dropped from the estimate but their selections are kept
     for diagnostics. `criterion_values` holds CV_j at the selected threshold.
+    `killed_fraction` is each level's share of zeroed coefficients (not in to_dict).
     """
 
     mode: str
@@ -74,6 +76,7 @@ class CvSelection:
     j1_hat: int
     lambdas: dict[int, float]
     criterion_values: tuple[CvCriterionValue, ...]
+    killed_fraction: dict[int, float] | None = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -243,25 +246,9 @@ def fit_cv(sample: Sample, tables: WaveletTables, mode: str = "HTCV",
     j1_max = max(j0, j_star // 2)  # floor(log2(n) / 2), i.e. 2^j1 <= sqrt(n)
     j1_hat = select_j1(values, j0, j1_max)
 
-    selection = CvSelection(
-        mode=mode,
-        j0=j0,
-        j_star=j_star,
-        j1_hat=j1_hat,
-        lambdas=lambdas,
-        criterion_values=tuple(
-            CvCriterionValue(j=j, lam=lambdas[j], value=values[j])
-            for j in range(j0, j_star + 1)
-        ),
-    )
-
-    lo, hi = sample.support
-    k_min, k_max = tables.k_range(j0, lo, hi)
-    S, _ = _level_sums(tables, "phi", j0, sample.values, k_min, k_max)
-    scaling = CoefficientLevel(j=j0, k_min=k_min, values=S * 2.0 ** (j0 / 2) / n)
     coeffs = CoefficientSet(
         j0=j0,
-        scaling=scaling,
+        scaling=empirical_coefficients(sample, tables, j0, j0 - 1).scaling,
         details=tuple(kept[j] for j in range(j0, j1_hat + 1)),
         n=n,
         support=sample.support,
@@ -273,5 +260,19 @@ def fit_cv(sample: Sample, tables: WaveletTables, mode: str = "HTCV",
         j1=j1_hat,
     )
     thresholded = apply_plan(coeffs, plan)
+    killed = {lev.j: float(lev.killed.mean()) for lev in thresholded.details}
+    killed.update((j, 1.0) for j in range(j1_hat + 1, j_star + 1))
+    selection = CvSelection(
+        mode=mode,
+        j0=j0,
+        j_star=j_star,
+        j1_hat=j1_hat,
+        lambdas=lambdas,
+        criterion_values=tuple(
+            CvCriterionValue(j=j, lam=lambdas[j], value=values[j])
+            for j in range(j0, j_star + 1)
+        ),
+        killed_fraction=killed,
+    )
     meta = f"{mode} j0={j0} j1={j1_hat} n={n}"
     return reconstruct(thresholded, tables, grid_points, meta=meta), selection

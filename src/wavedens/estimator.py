@@ -147,46 +147,51 @@ class DensityEstimate:
         return float(np.trapezoid(self.values, self.grid))
 
 
+def _tap_lookups(tables: WaveletTables, kind: str, j: int, x: np.ndarray,
+                 k_min: int, k_max: int):
+    """Raw lookups of (phi|psi)_{j,k}(x) per tap k = floor(2^j x - N + 1) + t.
+
+    For t = 0..2N-1 yields (ok, i, w): ok masks the points with k in
+    k_min..k_max that hit the table, i = k - k_min and w the table values
+    there. The 2^(j/2) dilation factor is not applied.
+    """
+    N = tables.vanishing_moments
+    u = x * float(2**j)
+    kbase = np.floor(u - N + 1).astype(np.int64)
+    # only a level narrower than its support has translates outside k_min..k_max
+    clip = kbase.min() < k_min or kbase.max() + 2 * N - 1 > k_max
+    for t in range(2 * N):
+        k = kbase + t
+        ok, w = tables.lookup(kind, u - k)
+        if clip:
+            inside = (k >= k_min) & (k <= k_max)
+            ok, w = ok & inside, w[inside[ok]]
+        yield ok, k[ok] - k_min, w
+
+
 def _level_sums(tables: WaveletTables, kind: str, j: int, x: np.ndarray,
                 k_min: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Sums and squared sums of the raw table lookups per translate.
 
     Returns (S, Q) with S[i] = sum_t table(2^j x_t - k) and Q[i] the sum of
     squares, for k = k_min + i. The 2^(j/2) dilation factor is not applied.
-    The lookup arithmetic mirrors WaveletTables.eval exactly so results agree
-    with per-point evaluation to the last bit.
     """
-    table = tables.phi_values if kind == "phi" else tables.psi_values
-    N = tables.vanishing_moments
     size = k_max - k_min + 1
     S = np.zeros(size)
     Q = np.zeros(size)
-    u = x * float(2**j)
-    kbase = np.floor(u - N + 1).astype(np.int64)
-    for t in range(2 * N):
-        k = kbase + t
-        idx = np.rint((u - k + (N - 1)) * 2**tables.depth)
-        ok = (idx >= 0) & (idx < len(table)) & (k >= k_min) & (k <= k_max)
-        w = table[idx[ok].astype(np.int64)]
-        np.add.at(S, k[ok] - k_min, w)
-        np.add.at(Q, k[ok] - k_min, w * w)
+    for _, i, w in _tap_lookups(tables, kind, j, x, k_min, k_max):
+        np.add.at(S, i, w)
+        np.add.at(Q, i, w * w)
     return S, Q
 
 
 def _synthesize_level(tables: WaveletTables, kind: str, lev: CoefficientLevel,
                       x: np.ndarray) -> np.ndarray:
     """sum_k c_k * (phi|psi)_{j,k}(x) for one coefficient level."""
-    table = tables.phi_values if kind == "phi" else tables.psi_values
-    N = tables.vanishing_moments
-    k_max = lev.k_min + len(lev.values) - 1
     out = np.zeros(len(x))
-    u = x * float(2**lev.j)
-    kbase = np.floor(u - N + 1).astype(np.int64)
-    for t in range(2 * N):
-        k = kbase + t
-        idx = np.rint((u - k + (N - 1)) * 2**tables.depth)
-        ok = (idx >= 0) & (idx < len(table)) & (k >= lev.k_min) & (k <= k_max)
-        out[ok] += lev.values[k[ok] - lev.k_min] * table[idx[ok].astype(np.int64)]
+    k_max = lev.k_min + len(lev.values) - 1
+    for ok, i, w in _tap_lookups(tables, kind, lev.j, x, lev.k_min, k_max):
+        out[ok] += lev.values[i] * w
     return out * 2.0 ** (lev.j / 2)
 
 

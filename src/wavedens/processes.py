@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 _CASES = ("iid", "logistic_map", "noncausal_ar", "lsv")
+# The params each target kind reads; build_target rejects any other key.
+_TARGET_PARAMS = {"sine_uniform_mixture": set(), "custom": {"density", "support"},
+                  "gaussian_mixture": {"means", "sds", "weights", "support"}}
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,14 @@ def build_target(kind: str, params: dict | None = None) -> TargetDensity:
     truncated to [0, 1] and renormalized.
     custom: params must carry a `density` callable and `support`; the cdf is
     built by quadrature and the density is normalized to unit mass.
+    A param the kind does not read raises ValueError.
     """
     params = dict(params or {})
+    if kind not in _TARGET_PARAMS:
+        raise ValueError(f"unknown target kind {kind!r}")
+    bad = set(params) - _TARGET_PARAMS[kind]
+    if bad:
+        raise ValueError(f"unknown {kind} params {sorted(bad)}")
     if kind == "sine_uniform_mixture":
         c = math.pi / (math.pi + 1.0)
 
@@ -135,7 +144,9 @@ def build_target(kind: str, params: dict | None = None) -> TargetDensity:
         sds = np.asarray(params.get("sds", (0.1, 0.1)), dtype=np.float64)
         weights = np.asarray(params.get("weights", (0.5, 0.5)), dtype=np.float64)
         lo, hi = params.get("support", (0.0, 1.0))
-        if np.any(sds <= 0) or weights.sum() <= 0 or len(means) != len(sds):
+        if not len(means) == len(sds) == len(weights):
+            raise ValueError("gaussian_mixture means, sds and weights differ in length")
+        if np.any(sds <= 0) or weights.sum() <= 0:
             raise ValueError("gaussian_mixture parameters are not normalizable")
         weights = weights / weights.sum()
 
@@ -189,8 +200,6 @@ def build_target(kind: str, params: dict | None = None) -> TargetDensity:
 
         return TargetDensity(kind, {"support": (lo, hi)}, (float(lo), float(hi)),
                              density, cdf, inverse_cdf)
-
-    raise ValueError(f"unknown target kind {kind!r}")
 
 
 def _logistic_trajectory(n: int, rng: np.random.Generator) -> np.ndarray:

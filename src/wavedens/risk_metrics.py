@@ -15,6 +15,7 @@ from .processes import ProcessSpec, TargetDensity, derived_seed, simulate
 from .wavelet_basis import WaveletTables
 
 __all__ = [
+    "Fit",
     "RiskReport",
     "DecayProfile",
     "lp_distance",
@@ -23,9 +24,25 @@ __all__ = [
     "covariance_decay",
 ]
 
-# A fit maps a sample to (estimate, selection or None, per-level killed
-# fraction or None); kernel methods return (estimate, None, None).
-FitFunction = Callable[[Sample], tuple[DensityEstimate, CvSelection | None, dict | None]]
+
+@dataclass(frozen=True)
+class Fit:
+    """One method's estimate on one sample and the levels it chose.
+
+    A kernel fit sets only the estimate. `killed_fraction` is 1.0 above j1;
+    HTCV and STCV keep their CvSelection in `diagnostics`.
+    """
+
+    estimate: DensityEstimate
+    j0: int | None = None
+    j1: int | None = None
+    lambdas: dict[int, float] | None = None
+    killed_fraction: dict[int, float] | None = None
+    diagnostics: CvSelection | None = None
+
+
+# A fit maps one replicate's sample to its Fit.
+FitFunction = Callable[[Sample], Fit]
 
 
 @dataclass(frozen=True)
@@ -169,13 +186,12 @@ def monte_carlo_risk(spec: ProcessSpec, fit: FitFunction, M: int,
         truth = spec.target
     norms = sorted(set(p_list) | {2.0}) if truth is not None else []
 
-    def one(r: int) -> tuple:
+    def one(r: int) -> tuple[Fit, dict]:
         seed = seed_fn(spec.seed, r)
         try:
             sample = simulate(replace(spec, seed=seed))
-            estimate, selection, kill_fraction = fit(sample)
-            dists = {p: lp_distance(estimate, truth, p) for p in norms}
-            return estimate, selection, kill_fraction, dists
+            result = fit(sample)
+            return result, {p: lp_distance(result.estimate, truth, p) for p in norms}
         except Exception as exc:
             raise RuntimeError(f"replicate {r} (seed {seed}) failed: {exc}") from exc
 
@@ -185,31 +201,15 @@ def monte_carlo_risk(spec: ProcessSpec, fit: FitFunction, M: int,
     else:
         results = [one(r) for r in range(M)]
 
-    estimates = [res[0] for res in results]
-    selections = [res[1] for res in results]
-    fractions = [res[2] for res in results]
+    fits = [res[0] for res in results]
+    j1s = [f.j1 for f in fits]
     mise = None
     lp_risks: dict[float, float] = {}
     if truth is not None:
-        mise = float(np.mean([res[3][2.0] ** 2 for res in results]))
+        mise = float(np.mean([res[1][2.0] ** 2 for res in results]))
         lp_risks = {
-            p: float(np.mean([res[3][p] ** p for res in results]) ** (1.0 / p))
+            p: float(np.mean([res[1][p] ** p for res in results]) ** (1.0 / p))
             for p in p_list
-        }
-
-    mean_j1 = None
-    threshold_profile = None
-    if all(sel is not None for sel in selections):
-        mean_j1 = float(np.mean([sel.j1_hat for sel in selections]))
-        levels = sorted(selections[0].lambdas)
-        threshold_profile = {
-            j: float(np.mean([sel.lambdas[j] for sel in selections])) for j in levels
-        }
-    thresholded_fraction = None
-    if all(fr is not None for fr in fractions):
-        levels = sorted(fractions[0])
-        thresholded_fraction = {
-            j: float(np.mean([fr[j] for fr in fractions])) for j in levels
         }
 
     moments = None
@@ -217,7 +217,8 @@ def monte_carlo_risk(spec: ProcessSpec, fit: FitFunction, M: int,
     if moment_orders:
         moments = {}
         for k in moment_orders:
-            value, c = integrated_moments(estimates, k, moment_interval)
+            value, c = integrated_moments([f.estimate for f in fits], k,
+                                          moment_interval)
             moments[k] = value
             clamps += c
 
@@ -228,12 +229,19 @@ def monte_carlo_risk(spec: ProcessSpec, fit: FitFunction, M: int,
         replicates=M,
         mise=mise,
         lp_risks=lp_risks,
-        mean_j1=mean_j1,
-        threshold_profile=threshold_profile,
-        thresholded_fraction=thresholded_fraction,
+        mean_j1=None if None in j1s else float(np.mean(j1s)),
+        threshold_profile=_level_means([f.lambdas for f in fits]),
+        thresholded_fraction=_level_means([f.killed_fraction for f in fits]),
         integrated_moments=moments,
         moment_clamps=clamps,
     )
+
+
+def _level_means(per_fit: list[dict | None]) -> dict[int, float] | None:
+    """Replicate mean of a per-level dict, or None when any fit lacks it."""
+    if any(d is None for d in per_fit):
+        return None
+    return {j: float(np.mean([d[j] for d in per_fit])) for j in sorted(per_fit[0])}
 
 
 def covariance_decay(sample: Sample, tables: WaveletTables, j: int, k: int,

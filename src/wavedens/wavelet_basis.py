@@ -115,7 +115,6 @@ def cascade_tables(filt: WaveletFilter, depth: int) -> WaveletTables:
         depth=depth,
         phi_values=phi,
         psi_values=psi,
-        support_halfwidth=float(N),
     )
 
 
@@ -131,7 +130,6 @@ class WaveletTables:
     depth: int
     phi_values: np.ndarray
     psi_values: np.ndarray
-    support_halfwidth: float
 
     @property
     def vanishing_moments(self) -> int:
@@ -143,30 +141,33 @@ class WaveletTables:
         lo = 0.0 if kind == "phi" else float(1 - N)
         return lo + np.arange(len(self.psi_values)) / 2**self.depth
 
+    def lookup(self, kind: str, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(ok, weights) of the centered phi or psi at the points u = 2**j x - k.
+
+        Each point snaps to the nearest dyadic table point; ok masks the points
+        inside the support [1-N, N] and weights holds their values in order.
+        """
+        if kind not in ("phi", "psi"):
+            raise ValueError(f"kind must be 'phi' or 'psi', got {kind!r}")
+        table = self.phi_values if kind == "phi" else self.psi_values
+        idx = (u + (self.vanishing_moments - 1)) * 2**self.depth
+        np.rint(idx, out=idx)  # in place: one large temporary fewer per call
+        ok = (idx >= 0) & (idx < len(table))
+        return ok, table[idx[ok].astype(np.int64)]
+
     def eval(self, kind: str, j: int, k: int, x):
         """Evaluate phi_{j,k} or psi_{j,k} at x (scalar or array).
 
         Returns 2**(j/2) * table[nearest dyadic point of 2**j x - k], and 0
         outside the support [1-N, N] of the centered functions.
         """
-        if kind == "phi":
-            table = self.phi_values
-        elif kind == "psi":
-            table = self.psi_values
-        else:
-            raise ValueError(f"kind must be 'phi' or 'psi', got {kind!r}")
-        N = self.vanishing_moments
         x_arr = np.asarray(x, dtype=np.float64)
-        scalar = x_arr.ndim == 0
-        u = np.atleast_1d(x_arr) * float(2**j) - k
-        idx = np.rint((u + (N - 1)) * 2**self.depth)
-        ok = (idx >= 0) & (idx < len(table))
-        out = np.zeros(u.shape)
-        out[ok] = table[idx[ok].astype(np.int64)]
-        out *= 2.0 ** (j / 2)
-        return float(out[0]) if scalar else out
+        ok, weights = self.lookup(kind, np.atleast_1d(x_arr) * float(2**j) - k)
+        out = np.zeros(ok.shape)
+        out[ok] = weights * 2.0 ** (j / 2)
+        return float(out[0]) if x_arr.ndim == 0 else out
 
     def k_range(self, j: int, lo: float, hi: float) -> tuple[int, int]:
         """Inclusive translate range whose supports meet [lo, hi] at level j."""
-        pad = math.ceil(self.support_halfwidth)
+        pad = self.vanishing_moments  # supports are [1-N, N]
         return (math.floor(2**j * lo) - pad, math.ceil(2**j * hi) + pad)

@@ -100,10 +100,30 @@ class TestLoadConfig:
         ("wavelet", {"order": 3}, "unknown wavelet keys"),
         ("cases", [], "at least one case"),
         ("experiment", "", "experiment id"),
+        ("wavelet", {"family": "coiflet"}, "unsupported filter"),
+        ("wavelet", {"N": 30}, "unsupported filter"),
+        ("wavelet", {"depth": 2}, "depth must be"),
+        ("decay", {"j": 2, "lags": 10}, "unknown decay keys"),
     ])
     def test_field_validation(self, tmp_path, field, value, hint):
         with pytest.raises(ConfigError, match=hint):
             load_config(write_config(tmp_path, **{field: value}))
+
+    @pytest.mark.parametrize("block,hint", [
+        ({"case": "iid", "target_params": {"sd": 0.1}}, "sine_uniform_mixture params"),
+        ({"case": "logistic_map", "target": "gaussian_mixture",
+          "target_params": {"mean": [0.5]}}, "gaussian_mixture params"),
+        ({"case": "iid", "target": "gaussian_mixture",
+          "target_params": {"sds": [0.1, -0.2]}}, "normalizable"),
+        ({"case": "noncausal_ar", "target": "gaussian_mixture",
+          "target_params": {"means": [0.5], "sds": [0.1], "weights": [1, 1, 1]}},
+         "differ in length"),
+    ])
+    def test_target_params_checked(self, tmp_path, block, hint):
+        path = write_config(tmp_path, cases=[block])
+        with pytest.raises(ConfigError, match=hint):
+            load_config(path)
+        assert main(["--config", path, "simulate"]) == 2
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -284,6 +304,12 @@ class TestBenchmarkCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_sha256"] == payload["config_sha256"]
         assert manifest["outputs"] == sorted(manifest["outputs"])
+
+    def test_single_replicate_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert main(["--config", tiny_config(tmp_path, M=1), "benchmark"]) == 2
+        assert "M >= 2" in capsys.readouterr().err
+        assert not (out / "reports.json").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         path_a = tiny_config(tmp_path, out=str(tmp_path / "a"))

@@ -1,6 +1,7 @@
 """Coefficients, thresholding rules, the theoretical schedule, reconstruction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,26 @@ class TestReconstruct:
         x = rng.random(50)
         sample = Sample(values=x, support=(0.0, 1.0))
         coeffs = empirical_coefficients(sample, sym8_tables, j0=1, jmax=2)
+        est = reconstruct(coeffs, sym8_tables, grid_points=100)
+        want = np.zeros(100)
+        for k, v in zip(coeffs.scaling.k_values(), coeffs.scaling.values):
+            want += v * sym8_tables.eval("phi", 1, int(k), est.grid)
+        for lev in coeffs.details:
+            for k, v in zip(lev.k_values(), lev.values):
+                want += v * sym8_tables.eval("psi", lev.j, int(k), est.grid)
+        assert_allclose(est.values, want, rtol=0, atol=1e-10)
+
+    def test_partial_levels_synthesize_only_their_translates(self, sym8_tables, rng):
+        """Levels that store a slice of their translates leave the others out."""
+        x = rng.random(50)
+        full = empirical_coefficients(Sample(values=x, support=(0.0, 1.0)),
+                                      sym8_tables, j0=1, jmax=2)
+
+        def middle(lev):
+            return replace(lev, k_min=lev.k_min + 3, values=lev.values[3:-4])
+
+        coeffs = replace(full, scaling=middle(full.scaling),
+                         details=tuple(middle(lev) for lev in full.details))
         est = reconstruct(coeffs, sym8_tables, grid_points=100)
         want = np.zeros(100)
         for k, v in zip(coeffs.scaling.k_values(), coeffs.scaling.values):

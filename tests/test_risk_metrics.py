@@ -7,13 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wavedens.baseline_kernel import KernelConfig, kernel_estimate
+from wavedens.cli import make_fit
 from wavedens.cross_validation import fit_cv
-from wavedens.estimator import DensityEstimate, Sample
+from wavedens.estimator import DensityEstimate, Sample, empirical_coefficients
 from wavedens.processes import (ProcessSpec, build_target, derived_seed,
                                 simulate)
-from wavedens.risk_metrics import (DecayProfile, RiskReport, covariance_decay,
-                                   integrated_moments, lp_distance,
-                                   monte_carlo_risk)
+from wavedens.risk_metrics import (DecayProfile, Fit, RiskReport,
+                                   covariance_decay, integrated_moments,
+                                   lp_distance, monte_carlo_risk)
 
 GRID = np.linspace(0.0, 1.0, 4097)
 
@@ -30,7 +31,7 @@ def _uniform_target():
 
 def _kernel_fit(sample):
     cfg = KernelConfig(bandwidth_rule="fixed", h=0.1, grid_points=512)
-    return kernel_estimate(sample, cfg), None, None
+    return Fit(kernel_estimate(sample, cfg))
 
 
 class TestLpDistance:
@@ -134,8 +135,8 @@ class TestMonteCarloRisk:
         spec = ProcessSpec("iid", 200, seed=999, target=sine_target)
         report = monte_carlo_risk(spec, _kernel_fit, M=4,
                                   seed_fn=lambda master, r: 4242)
-        est, _, _ = _kernel_fit(simulate(ProcessSpec("iid", 200, seed=4242,
-                                                     target=sine_target)))
+        est = _kernel_fit(simulate(ProcessSpec("iid", 200, seed=4242,
+                                               target=sine_target))).estimate
         want = lp_distance(est, sine_target, 2.0) ** 2
         assert report.mise == want
 
@@ -146,7 +147,7 @@ class TestMonteCarloRisk:
         for r in range(2):
             rep = ProcessSpec("iid", 150, seed=derived_seed(31, r),
                               target=sine_target)
-            est, _, _ = _kernel_fit(simulate(rep))
+            est = _kernel_fit(simulate(rep)).estimate
             for p in (1.0, 2.0):
                 dists.setdefault(p, []).append(lp_distance(est, sine_target, p))
         assert report.mise == pytest.approx(np.mean(np.square(dists[2.0])), rel=1e-15)
@@ -180,7 +181,8 @@ class TestMonteCarloRisk:
     def test_selection_statistics_aggregated(self, sine_target, sym8_tables):
         def cv_fit(sample):
             est, sel = fit_cv(sample, sym8_tables, mode="STCV", grid_points=128)
-            return est, sel, {1: 0.5}
+            return Fit(est, j0=sel.j0, j1=sel.j1_hat, lambdas=sel.lambdas,
+                       killed_fraction={1: 0.5}, diagnostics=sel)
 
         spec = ProcessSpec("iid", 64, seed=13, target=sine_target)
         report = monte_carlo_risk(spec, cv_fit, M=3, method="STCV")
@@ -188,6 +190,27 @@ class TestMonteCarloRisk:
         assert report.mean_j1 is not None and 1 <= report.mean_j1 <= 6
         assert sorted(report.threshold_profile) == list(range(1, 7))
         assert report.thresholded_fraction == {1: 0.5}
+
+    @pytest.mark.parametrize("mode", ["HTCV", "STCV"])
+    def test_cv_kill_fractions_count_thresholded_coefficients(self, mode, sine_target,
+                                                              sym8_tables):
+        """Per level, the share of empirical detail coefficients with
+        |beta| <= lambda up to j1 and 1.0 above it, bit for bit."""
+        for case, n, seed in (("iid", 256, 3), ("logistic_map", 512, 4),
+                              ("noncausal_ar", 1024, 5)):
+            sample = simulate(ProcessSpec(case, n, seed=seed, target=sine_target))
+            fit = make_fit(mode, sym8_tables, 128)(sample)
+            sel = fit.diagnostics
+            coeffs = empirical_coefficients(sample, sym8_tables, sel.j0, sel.j_star)
+            want = {}
+            for j in range(sel.j0, sel.j_star + 1):
+                if j <= sel.j1_hat:
+                    beta = coeffs.detail(j).values
+                    want[j] = float(np.mean(np.abs(beta) <= sel.lambdas[j]))
+                else:
+                    want[j] = 1.0
+            assert fit.killed_fraction == want
+            assert any(0.0 < v < 1.0 for v in want.values())
 
     def test_moments_wired_through(self, sine_target):
         spec = ProcessSpec("iid", 128, seed=21, target=sine_target)
