@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import click
@@ -61,13 +62,21 @@ class ExperimentConfig:
             raise ConfigError("experiment id must be a non-empty string")
         if not self.cases:
             raise ConfigError("config needs at least one case block")
-        for block in self.cases:
-            _check_case_block(block)
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}, expected one of {METHODS}")
         if not self.n or any(v < 8 for v in self.n):
             raise ConfigError(f"n values must be >= 8, got {self.n}")
+        for block in self.cases:
+            if not isinstance(block, dict) or "case" not in block:
+                raise ConfigError(f"case block must be an object with a 'case' key: {block!r}")
+            bad = set(block) - _CASE_KEYS
+            if bad:
+                raise ConfigError(f"unknown case keys {sorted(bad)} in {block!r}")
+            try:
+                self.process_spec(block, self.n[0])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid case block {block!r}: {exc}") from exc
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
         if any(p < 1 for p in self.p):
@@ -79,16 +88,12 @@ class ExperimentConfig:
             if bad:
                 raise ConfigError(f"unknown {name} keys {sorted(bad)}")
         object.__setattr__(self, "wavelet", {**_WAVELET_DEFAULTS, **self.wavelet})
-        try:
-            build_filter(self.wavelet["family"], self.wavelet["N"])
-        except ValueError as exc:
-            raise ConfigError(f"wavelet: {exc}") from exc
-        if self.wavelet["depth"] < 4:
-            raise ConfigError(f"wavelet depth must be >= 4, got {self.wavelet['depth']}")
+        _check_wavelet(self.wavelet, "wavelet.{}")
         if self.grid_points < 64:
             raise ConfigError("grid_points must be >= 64")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        self.decay_settings  # resolve and check the decay block at load
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -104,20 +109,35 @@ class ExperimentConfig:
                     if k not in ("out", "threads")}
         return hashlib.sha256(_dumps(semantic).encode()).hexdigest()
 
+    @cached_property
+    def decay_settings(self) -> dict:
+        """The `decay` block with its defaults filled in; not part of the hash."""
+        d = {"j": 2, "k": 1, "n": int(max(self.n)), "alphas": [v / 10 for v in range(1, 10)],
+             **self.decay}
+        n = d["n"] if type(d["n"]) is int else 0  # a non-integer n fails below
+        lag = d.setdefault("max_lag", min(200, n // 4))
+        for key, ok in (("j", type(d["j"]) is int and d["j"] >= 0),
+                        ("k", type(d["k"]) is int), ("n", n >= 8),
+                        ("max_lag", type(lag) is int and 1 <= lag <= n // 4),
+                        ("alphas", isinstance(d["alphas"], (list, tuple))
+                         and all(type(a) is float and 0 < a < 1 for a in d["alphas"]))):
+            if not ok:
+                raise ConfigError(f"decay.{key} is invalid: {d[key]!r} (need integers j >= 0, "
+                                  "k, n >= 8, max_lag in [1, n/4] and alphas in (0, 1))")
+        return d
+
     def tables(self) -> WaveletTables:
         w = self.wavelet
         return cascade_tables(build_filter(w["family"], w["N"]), depth=w["depth"])
 
     def process_spec(self, block: dict, n: int) -> ProcessSpec:
-        kwargs = {}
-        if block["case"] == "lsv":
-            kwargs["lsv_alpha"] = block.get("lsv_alpha", 0.5)
-        else:
-            kwargs["target"] = build_target(block.get("target", "sine_uniform_mixture"),
-                                            block.get("target_params"))
+        """The block's regime at size n; every case block is built here at load."""
+        kwargs = {"lsv_alpha": block.get("lsv_alpha", 0.5)} if block["case"] == "lsv" else {}
         if "ar_depth" in block:
             kwargs["ar_depth"] = block["ar_depth"]
-        return ProcessSpec(case=block["case"], n=n, seed=self.seed, **kwargs)
+        target = build_target(block.get("target", "sine_uniform_mixture"),
+                              block.get("target_params"))
+        return ProcessSpec(case=block["case"], n=n, seed=self.seed, target=target, **kwargs)
 
 
 _WAVELET_DEFAULTS = {"family": "symmlet", "N": 8, "depth": 10}
@@ -133,16 +153,17 @@ _COERCE = {
 }
 
 
-def _check_case_block(block: dict) -> None:
-    if not isinstance(block, dict) or "case" not in block:
-        raise ConfigError(f"case block must be an object with a 'case' key: {block!r}")
-    bad = set(block) - _CASE_KEYS
-    if bad:
-        raise ConfigError(f"unknown case keys {sorted(bad)} in {block!r}")
+def _check_wavelet(w: dict, name: str) -> None:
+    """Reject a bad wavelet before any table is built; name formats a key's label."""
+    for key, kind in (("family", str), ("N", int), ("depth", int)):
+        if type(w[key]) is not kind:
+            raise ConfigError(f"{name.format(key)} must be {kind.__name__}, got {w[key]!r}")
     try:
-        build_target(block.get("target", "sine_uniform_mixture"), block.get("target_params"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid target in {block!r}: {exc}") from exc
+        build_filter(w["family"], w["N"])
+    except ValueError as exc:
+        raise ConfigError(f"{name.format('family')}, {name.format('N')}: {exc}") from exc
+    if w["depth"] < 4:
+        raise ConfigError(f"{name.format('depth')} must be >= 4, got {w['depth']}")
 
 
 def load_config(path: str, seed: int | None = None, out: str | None = None,
@@ -343,12 +364,13 @@ def simulate_cmd(ctx):
 @click.option("--family", default="symmlet")
 @click.option("--N", "N", type=int, default=8)
 @click.option("--depth", type=int, default=10)
-@click.option("--grid-points", type=int, default=4096)
+@click.option("--grid-points", type=click.IntRange(min=64), default=4096)
 @click.pass_context
 def fit_cmd(ctx, sample_path, method, K, b, support, family, N, depth, grid_points):
     """Fit one method to one sample file; write estimate CSV (+ selection JSON)."""
     if method.startswith("theoretical") and K is None:
         raise click.UsageError(f"method {method} requires --K")
+    _check_wavelet({"family": family, "N": N, "depth": depth}, "--{}")
     out_dir = Path(ctx.obj["out"] or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     sample = _read_sample_csv(sample_path, (support[0], support[1]))
@@ -434,12 +456,7 @@ def diagnose_decay(ctx):
     cfg = _need_config(ctx)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    decay = cfg.decay
-    j = int(decay.get("j", 2))
-    k = int(decay.get("k", 1))
-    n = int(decay.get("n", max(cfg.n)))
-    max_lag = int(decay.get("max_lag", min(200, n // 4)))
-    alphas = [float(a) for a in decay.get("alphas", [v / 10 for v in range(1, 10)])]
+    j, k, n, max_lag = (cfg.decay_settings[key] for key in ("j", "k", "n", "max_lag"))
     tables = cfg.tables()
     outputs: list = []
     summary = []
@@ -464,7 +481,7 @@ def diagnose_decay(ctx):
     i = 0
     for block, label in zip(cfg.cases, _case_labels(cfg.cases)):
         if block["case"] == "lsv":
-            for alpha in alphas:
+            for alpha in cfg.decay_settings["alphas"]:
                 spec = ProcessSpec(case="lsv", n=n, seed=derived_seed(cfg.seed, i),
                                    lsv_alpha=alpha)
                 run(spec, f"lsv_alpha{alpha:.2f}")
@@ -487,6 +504,7 @@ def diagnose_decay(ctx):
 @click.pass_context
 def tables_cmd(ctx, family, N, depth):
     """Dump the sampled scaling/wavelet tables as CSV."""
+    _check_wavelet({"family": family, "N": N, "depth": depth}, "--{}")
     out_dir = Path(ctx.obj["out"] or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = cascade_tables(build_filter(family, N), depth=depth)

@@ -25,7 +25,7 @@ from .estimator import (
     DensityEstimate,
     Sample,
     ThresholdPlan,
-    _level_sums,
+    _level_lookups,
     apply_plan,
     empirical_coefficients,
     reconstruct,
@@ -117,20 +117,12 @@ def _level_stats(sample: Sample, tables: WaveletTables, j: int):
         raise ValueError(f"the pairwise term needs n >= 2, got n={n}")
     lo, hi = sample.support
     k_min, k_max = tables.k_range(j, lo, hi)
-    S, Q = _level_sums(tables, "psi", j, sample.values, k_min, k_max)
-    S = S * 2.0 ** (j / 2)
-    Q = Q * 2.0**j
+    i, w = _level_lookups(tables, "psi", j, sample.values, k_min, k_max)
+    S = np.bincount(i, w, minlength=k_max - k_min + 1) * 2.0 ** (j / 2)
+    Q = np.bincount(i, w * w, minlength=k_max - k_min + 1) * 2.0**j
     beta = S / n
     bracket = beta * beta - 2.0 * (S * S - Q) / (n * (n - 1))
     return k_min, beta, bracket
-
-
-def _criterion(beta: np.ndarray, bracket: np.ndarray, lam: float, mode: str) -> float:
-    survivors = np.abs(beta) >= lam
-    base = float(bracket[survivors].sum())
-    if mode == "STCV":
-        return base + lam * lam * int(survivors.sum())
-    return base
 
 
 def cv_criterion(sample: Sample, tables: WaveletTables, j: int, lam: float,
@@ -146,41 +138,35 @@ def cv_criterion(sample: Sample, tables: WaveletTables, j: int, lam: float,
     if lam < 0:
         raise ValueError(f"negative threshold {lam}")
     _, beta, bracket = _level_stats(sample, tables, j)
-    return _criterion(beta, bracket, lam, mode)
+    survivors = np.abs(beta) >= lam
+    base = float(bracket[survivors].sum())
+    return base + lam * lam * int(survivors.sum()) if mode == "STCV" else base
 
 
 def _candidates(beta: np.ndarray) -> np.ndarray:
-    """Thresholds that can change the criterion: breakpoints and just above.
+    """The thresholds that can win: 0 and just above each distinct |beta|.
 
-    The survivor set is constant on each interval (b_i, b_{i+1}] between
-    consecutive distinct |beta| values, so the minimum over all lam >= 0 is
-    attained either at a breakpoint or immediately above one (the soft
-    criterion grows with lam inside an interval). One candidate above the
-    largest |beta| covers the empty survivor set.
+    With distinct |beta| values b_0 < ... < b_last, the survivor set
+    {|beta| >= lam} is the same for every lam in (b_{i-1}, b_i], so there the
+    hard criterion is constant and the soft one grows with lam. With ties
+    going to the smaller lam, b_i never beats nextafter(b_{i-1}), b_0 never
+    beats 0, and no lam above b_last beats nextafter(b_last) (empty set).
     """
-    breaks = np.unique(np.abs(beta))
-    above = np.nextafter(breaks, np.inf)
-    top = breaks[-1] * (1.0 + 1e-9) + 1e-300
-    cands = np.unique(np.concatenate([[0.0], breaks, above, [top]]))
-    return cands
+    return np.concatenate([[0.0], np.nextafter(np.unique(np.abs(beta)), np.inf)])
 
 
 def _select_level(beta: np.ndarray, bracket: np.ndarray, mode: str) -> tuple[float, float]:
     """Exact argmin of the criterion over the candidate set, ties to smaller lam."""
     a = np.abs(beta)
     order = np.argsort(a, kind="stable")
-    a_sorted = a[order]
     suffix = np.concatenate([np.cumsum(bracket[order][::-1])[::-1], [0.0]])
-    best_lam = None
-    best_val = math.inf
-    for lam in _candidates(beta):
-        i = int(np.searchsorted(a_sorted, lam, side="left"))
-        val = float(suffix[i])
-        if mode == "STCV":
-            val += lam * lam * (len(a_sorted) - i)
-        if val < best_val:
-            best_lam, best_val = float(lam), val
-    return best_lam, best_val
+    cands = _candidates(beta)
+    i = np.searchsorted(a[order], cands, side="left")
+    vals = suffix[i]
+    if mode == "STCV":
+        vals = vals + cands * cands * (len(a) - i)
+    best = int(np.argmin(vals))  # the first minimum
+    return float(cands[best]), float(vals[best])
 
 
 def select_lambda(sample: Sample, tables: WaveletTables, j: int,
@@ -189,8 +175,7 @@ def select_lambda(sample: Sample, tables: WaveletTables, j: int,
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     _, beta, bracket = _level_stats(sample, tables, j)
-    lam, _ = _select_level(beta, bracket, mode)
-    return lam
+    return _select_level(beta, bracket, mode)[0]
 
 
 def select_j1(criterion_values: dict[int, float], j0: int, j_star: int) -> int:
@@ -239,9 +224,7 @@ def fit_cv(sample: Sample, tables: WaveletTables, mode: str = "HTCV",
     kept: dict[int, CoefficientLevel] = {}
     for j in range(j0, j_star + 1):
         k_min, beta, bracket = _level_stats(sample, tables, j)
-        lam, val = _select_level(beta, bracket, mode)
-        lambdas[j] = lam
-        values[j] = val
+        lambdas[j], values[j] = _select_level(beta, bracket, mode)
         kept[j] = CoefficientLevel(j=j, k_min=k_min, values=beta)
     j1_max = max(j0, j_star // 2)  # floor(log2(n) / 2), i.e. 2^j1 <= sqrt(n)
     j1_hat = select_j1(values, j0, j1_max)

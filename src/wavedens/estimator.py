@@ -169,20 +169,16 @@ def _tap_lookups(tables: WaveletTables, kind: str, j: int, x: np.ndarray,
         yield ok, k[ok] - k_min, w
 
 
-def _level_sums(tables: WaveletTables, kind: str, j: int, x: np.ndarray,
-                k_min: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums and squared sums of the raw table lookups per translate.
+def _level_lookups(tables: WaveletTables, kind: str, j: int, x: np.ndarray,
+                   k_min: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every tap's (i, w) from _tap_lookups, concatenated tap-major.
 
-    Returns (S, Q) with S[i] = sum_t table(2^j x_t - k) and Q[i] the sum of
-    squares, for k = k_min + i. The 2^(j/2) dilation factor is not applied.
+    np.bincount(i, w, minlength=k_max - k_min + 1) then adds each translate's
+    lookups tap by tap, each tap in sample order. The 2^(j/2) dilation factor
+    is not applied.
     """
-    size = k_max - k_min + 1
-    S = np.zeros(size)
-    Q = np.zeros(size)
-    for _, i, w in _tap_lookups(tables, kind, j, x, k_min, k_max):
-        np.add.at(S, i, w)
-        np.add.at(Q, i, w * w)
-    return S, Q
+    _, i, w = zip(*_tap_lookups(tables, kind, j, x, k_min, k_max))
+    return np.concatenate(i), np.concatenate(w)
 
 
 def _synthesize_level(tables: WaveletTables, kind: str, lev: CoefficientLevel,
@@ -209,7 +205,8 @@ def empirical_coefficients(sample: Sample, tables: WaveletTables,
 
     def level(kind: str, j: int) -> CoefficientLevel:
         k_min, k_max = tables.k_range(j, lo, hi)
-        S, _ = _level_sums(tables, kind, j, sample.values, k_min, k_max)
+        i, w = _level_lookups(tables, kind, j, sample.values, k_min, k_max)
+        S = np.bincount(i, w, minlength=k_max - k_min + 1)
         return CoefficientLevel(j=j, k_min=k_min, values=2.0 ** (j / 2) * S / n)
 
     return CoefficientSet(

@@ -104,10 +104,24 @@ class TestLoadConfig:
         ("wavelet", {"N": 30}, "unsupported filter"),
         ("wavelet", {"depth": 2}, "depth must be"),
         ("decay", {"j": 2, "lags": 10}, "unknown decay keys"),
+        ("cases", [{"case": "foo"}], "unknown case 'foo'"),
+        ("cases", [{"case": "lsv", "lsv_alpha": 2}], "lsv_alpha in"),
+        ("cases", [{"case": "noncausal_ar", "ar_depth": 0}], "ar_depth must be"),
+        ("cases", [{"case": "lsv", "target": "pareto"}], "unknown target"),
+        ("wavelet", {"N": 8.0}, "wavelet.N must be int"),
+        ("wavelet", {"depth": "10"}, "wavelet.depth must be int"),
+        ("decay", {"j": "x"}, "decay.j is invalid"),
+        ("decay", {"n": 64, "max_lag": 17}, "decay.max_lag is invalid"),
+        ("decay", {"alphas": [1.5]}, "decay.alphas is invalid"),
     ])
     def test_field_validation(self, tmp_path, field, value, hint):
+        out = tmp_path / "runs"
+        path = write_config(tmp_path, out=str(out), **{field: value})
         with pytest.raises(ConfigError, match=hint):
-            load_config(write_config(tmp_path, **{field: value}))
+            load_config(path)
+        for command in ("simulate", "benchmark", "diagnose-decay"):
+            assert main(["--config", path, command]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("block,hint", [
         ({"case": "iid", "target_params": {"sd": 0.1}}, "sine_uniform_mixture params"),
@@ -134,6 +148,23 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize("overrides,digest", [
+        ({}, "26b48c1a6a4add7d8660058bbcec873a2e6adb85373e8aa8b7c50260402afea6"),
+        (dict(experiment="pinned",
+              cases=[{"case": "lsv", "lsv_alpha": 0.3},
+                     {"case": "noncausal_ar", "ar_depth": 50, "target": "gaussian_mixture",
+                      "target_params": {"means": [0.3, 0.7], "sds": [0.1, 0.1],
+                                        "weights": [0.5, 0.5]}}],
+              methods=["STCV", "theoretical-hard"], n=[256, 1024], M=20, p=[1, 2],
+              moments=[2], seed=7, wavelet={"family": "daubechies", "N": 4},
+              decay={"j": 3, "max_lag": 40}, K=0.5, b=2),
+         "65655376f3f8682ffe44572acecfb9605a1834bafe4ac1bcad31a7ff3ec5efd3"),
+    ])
+    def test_hash_is_pinned(self, tmp_path, overrides, digest):
+        """Validating a config must not change what it hashes to (cases and
+        decay are hashed as given, wavelet with its defaults filled in)."""
+        assert load_config(write_config(tmp_path, **overrides)).sha256() == digest
 
     def test_hash_ignores_out_and_threads(self, tmp_path):
         a = load_config(write_config(tmp_path), out="x", threads=1)
@@ -171,6 +202,18 @@ class TestExitCodes:
                      "--method", "theoretical-hard"])
         assert code == 2
         assert "--K" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("fit", "--N", "30"), ("fit", "--depth", "2"), ("fit", "--grid-points", "10"),
+        ("tables", "--N", "30"), ("tables", "--depth", "2"),
+    ])
+    def test_bad_wavelet_flags_map_to_2(self, tmp_path, command, flag, value):
+        sample = tmp_path / "s.csv"
+        sample.write_text("x\n" + "\n".join(str(v / 100) for v in range(1, 100)) + "\n")
+        out = tmp_path / "out"
+        args = ["--sample", str(sample), "--method", "STCV"] if command == "fit" else []
+        assert main(["--out", str(out), command, *args, flag, value]) == 2
+        assert not out.exists()
 
     def test_missing_sample_file(self, tmp_path):
         code = main(["--out", str(tmp_path), "fit", "--sample",

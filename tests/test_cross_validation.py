@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wavedens.cross_validation import (CvCriterionValue, CvSelection,
-                                       cv_criterion, fit_cv, select_j1,
-                                       select_lambda)
+                                       _level_stats, cv_criterion, fit_cv,
+                                       select_j1, select_lambda)
 from wavedens.estimator import (Sample, ThresholdPlan, apply_plan,
                                 empirical_coefficients, reconstruct)
 from wavedens.wavelet_basis import build_filter, cascade_tables
@@ -40,6 +40,32 @@ def naive_cv(sample, tables, j, lam, mode):
                 term += lam * lam
             total += term
     return total
+
+
+def first_minimiser_over_full_set(sample, tables, j, mode):
+    """(lam, value) minimizing the criterion over 0, every |beta|, the float
+    just above each, and one value above the largest; first minimum wins.
+
+    Values come from suffix sums over |beta| in ascending order, the
+    selector's own arithmetic; cv_criterion sums the survivors in translate
+    order, so its values can differ from these in the last bits.
+    """
+    _, beta, bracket = _level_stats(sample, tables, j)
+    a = np.abs(beta)
+    order = np.argsort(a, kind="stable")
+    suffix = np.concatenate([np.cumsum(bracket[order][::-1])[::-1], [0.0]])
+    b = np.unique(a)
+    full = np.unique(np.concatenate([[0.0], b, np.nextafter(b, np.inf),
+                                     [b[-1] * (1.0 + 1e-9) + 1e-300]]))
+    best = None
+    for lam in full:
+        i = int(np.searchsorted(a[order], lam, side="left"))
+        value = float(suffix[i])
+        if mode == "STCV":
+            value += lam * lam * (len(a) - i)
+        if best is None or value < best[1]:
+            best = (float(lam), value)
+    return best
 
 
 def _sample(rng, n):
@@ -172,6 +198,27 @@ class TestSelectLambda:
         for b in abs_betas:
             if b < lam_hat:
                 assert cv_criterion(s, haar_tables, j, float(b), "HTCV") > value
+
+
+    @pytest.mark.parametrize("mode", ["HTCV", "STCV"])
+    @pytest.mark.parametrize("wavelet", [("daubechies", 1), ("symmlet", 8)])
+    def test_matches_first_minimiser_over_full_set(self, haar_tables, sym8_tables,
+                                                   rng, wavelet, mode):
+        """Dropping the thresholds that cannot win changes no bit of the
+        selection; samples rounded to 2 decimals give ties and zero betas."""
+        tables = haar_tables if wavelet[1] == 1 else sym8_tables
+        for n in (40, 96, 300):
+            s = Sample(values=np.round(rng.beta(2.0, 3.0, n), 2), support=(0.0, 1.0))
+            _, sel = fit_cv(s, tables, mode=mode, grid_points=64)
+            values = {cv.j: cv.value for cv in sel.criterion_values}
+            for j in range(sel.j0, sel.j_star + 1):
+                lam, value = first_minimiser_over_full_set(s, tables, j, mode)
+                assert np.float64(select_lambda(s, tables, j, mode)).tobytes() == \
+                    np.float64(lam).tobytes()
+                assert np.float64(sel.lambdas[j]).tobytes() == np.float64(lam).tobytes()
+                assert np.float64(values[j]).tobytes() == np.float64(value).tobytes()
+                got = cv_criterion(s, tables, j, lam, mode)
+                assert abs(got - value) <= 1e-12 * max(1.0, abs(value))
 
 
 class TestSelectJ1:
