@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +71,9 @@ def kernel_estimate(sample: Sample, config: KernelConfig = KernelConfig()) -> De
     grid = np.linspace(*sample.support, config.grid_points)
     values = np.empty(len(grid))
     x = sample.values
-    chunk = max(1, 2**22 // max(1, sample.n))
+    # about 2^16 kernel values per block, so the temporaries stay in cache;
+    # each grid row is still one sum over the whole sample
+    chunk = max(1, 2**16 // max(1, sample.n))
     for start in range(0, len(grid), chunk):
         g = grid[start:start + chunk]
         values[start:start + chunk] = _epanechnikov(
@@ -82,12 +83,33 @@ def kernel_estimate(sample: Sample, config: KernelConfig = KernelConfig()) -> De
     return DensityEstimate(grid=grid, values=values, meta=f"{label} h={h:.6g} n={sample.n}")
 
 
-def _pair_distances(x: np.ndarray, cap: float) -> np.ndarray:
-    """Distances |x_i - x_j| over pairs i < j, keeping only those <= cap."""
-    xs = np.sort(x)
-    upper = np.searchsorted(xs, xs + cap, side="right")
-    kept = [xs[i + 1:upper[i]] - xs[i] for i in range(len(xs) - 1) if upper[i] > i + 1]
-    return np.concatenate(kept) if kept else np.empty(0)
+def _lscv_scores(sample: Sample, hs: np.ndarray) -> list[float]:
+    """LSCV scores at the ascending bandwidths hs, from one list of pairs.
+
+    The pairs i < j of the sorted sample with xs[j] <= xs[i] + 2 max(hs) are
+    built once, row by row. Going down the grid, each h keeps the pairs with
+    xs[j] <= xs[i] + 2h, so every score sums the same distances in the same
+    order as a list built for that h alone.
+    """
+    if sample.n < 2:
+        raise ValueError("leave-one-out score needs n >= 2")
+    n = sample.n
+    xs = np.sort(sample.values)
+    upper = np.searchsorted(xs, xs + 2.0 * hs[-1], side="right")
+    lo = np.repeat(xs, upper - np.arange(1, n + 1))
+    hi = np.concatenate([xs[i + 1:u] for i, u in enumerate(upper)])
+    scores = []
+    for h in hs[::-1]:
+        if h < hs[-1]:
+            keep = hi <= lo + 2.0 * h
+            lo, hi = lo[keep], hi[keep]
+        d = hi - lo
+        sum_kk = _epanechnikov_selfconv(d / h).sum()
+        sum_k = _epanechnikov(d[d <= h] / h).sum()
+        sq_norm = (0.6 * n + 2.0 * sum_kk) / (n * n * h)
+        loo = 2.0 * sum_k / ((n - 1) * h)
+        scores.append(float(sq_norm - 2.0 * loo / n))
+    return scores[::-1]
 
 
 def lscv_score(sample: Sample, h: float) -> float:
@@ -96,17 +118,9 @@ def lscv_score(sample: Sample, h: float) -> float:
     Both terms are evaluated in closed form through pairwise distances; the
     squared-norm term uses the polynomial self-convolution of the kernel.
     """
-    if sample.n < 2:
-        raise ValueError("leave-one-out score needs n >= 2")
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    n = sample.n
-    d = _pair_distances(sample.values, 2.0 * h)
-    sum_kk = _epanechnikov_selfconv(d / h).sum()
-    sum_k = _epanechnikov(d[d <= h] / h).sum()
-    sq_norm = (0.6 * n + 2.0 * sum_kk) / (n * n * h)
-    loo = 2.0 * sum_k / ((n - 1) * h)
-    return float(sq_norm - 2.0 * loo / n)
+    return _lscv_scores(sample, np.array([float(h)]))[0]
 
 
 def cv_bandwidth(sample: Sample, candidates=None) -> float:
@@ -118,13 +132,7 @@ def cv_bandwidth(sample: Sample, candidates=None) -> float:
     if candidates is None:
         h_rot = rule_of_thumb_bandwidth(sample)
         candidates = np.geomspace(h_rot / 10.0, 3.0 * h_rot, 40)
-    candidates = np.asarray(candidates, dtype=np.float64)
-    if candidates.size == 0 or np.any(candidates <= 0):
-        raise ValueError("candidate bandwidths must be a nonempty positive grid")
-    best_h = None
-    best_score = math.inf
-    for h in np.sort(candidates):
-        score = lscv_score(sample, float(h))
-        if score < best_score:
-            best_h, best_score = float(h), score
-    return best_h
+    candidates = np.sort(np.asarray(candidates, dtype=np.float64))  # NaN sorts last
+    if candidates.size == 0 or not (candidates[0] > 0 and np.isfinite(candidates[-1])):
+        raise ValueError("candidate bandwidths must be a nonempty, positive, finite grid")
+    return float(candidates[int(np.argmin(_lscv_scores(sample, candidates)))])

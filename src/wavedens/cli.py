@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -52,7 +51,7 @@ class ExperimentConfig:
     out: str = "runs"
     wavelet: dict = field(default_factory=lambda: dict(_WAVELET_DEFAULTS))
     grid_points: int = 4096
-    threads: int = 1
+    threads: int = 1  # accepted for compatibility, ignored
     K: float = 1.0
     b: float = 1.0
     decay: dict = field(default_factory=dict)
@@ -101,9 +100,9 @@ class ExperimentConfig:
     def sha256(self) -> str:
         """Hash of the result-determining config fields.
 
-        The output directory and thread count change where and how fast
-        results are produced, never what they are, so they stay out of the
-        hash: the same experiment always lands under the same identity.
+        The output directory changes where results land, never what they
+        are, and `threads` is ignored, so both stay out of the hash: the same
+        experiment always lands under the same identity.
         """
         semantic = {k: v for k, v in self.to_dict().items()
                     if k not in ("out", "threads")}
@@ -172,7 +171,8 @@ def load_config(path: str, seed: int | None = None, out: str | None = None,
 
     --seed/--out/--threads replace the config values before validation.
     A seed override changes the config hash; out and threads are excluded
-    from it. WAVEDENS_THREADS beats both the --threads flag and the config.
+    from it. `threads` is still checked (>= 1) but ignored: replicates run
+    in order on one thread.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -191,12 +191,6 @@ def load_config(path: str, seed: int | None = None, out: str | None = None,
         raw["out"] = out
     if threads is not None:
         raw["threads"] = threads
-    env = os.environ.get("WAVEDENS_THREADS")
-    if env is not None:
-        try:
-            raw["threads"] = int(env)
-        except ValueError:
-            raise ConfigError(f"WAVEDENS_THREADS must be an integer, got {env!r}")
     try:
         kwargs = {k: _COERCE.get(k, lambda v: v)(v) for k, v in raw.items()}
         return ExperimentConfig(**{"experiment": "", "cases": (), **kwargs})
@@ -306,7 +300,7 @@ def _read_sample_csv(path: str, support: tuple[float, float]) -> Sample:
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
 @click.option("--out", type=click.Path(), default=None, help="Override the output directory.")
 @click.option("--threads", type=int, default=None,
-              help="Worker threads (WAVEDENS_THREADS wins over this flag).")
+              help="Accepted for compatibility and ignored (must be >= 1).")
 @click.pass_context
 def cli(ctx, config_path, seed, out, threads):
     """Wavelet density estimation experiments for dependent samples."""
@@ -406,7 +400,7 @@ def benchmark(ctx):
                 fit = make_fit(method, tables, cfg.grid_points, K=cfg.K, b=cfg.b)
                 reports.append(monte_carlo_risk(
                     spec, fit, cfg.M, p_list=cfg.p, method=method,
-                    moment_orders=cfg.moments, threads=cfg.threads))
+                    moment_orders=cfg.moments))
 
     outputs: list = []
     payload = {"config_sha256": cfg.sha256(), "experiment": cfg.experiment,

@@ -131,16 +131,28 @@ def cv_criterion(sample: Sample, tables: WaveletTables, j: int, lam: float,
 
     The hard bracket is beta^2 - 2 (S^2 - Q)/(n (n-1)); STCV adds lam^2 per
     survivor on top of the identical hard sum, so the two modes differ by
-    exactly lam^2 times the survivor count.
+    exactly lam^2 times the survivor count. The sum is the threshold search's
+    own, so at a selected lam this is its reported value bit for bit.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if lam < 0:
         raise ValueError(f"negative threshold {lam}")
     _, beta, bracket = _level_stats(sample, tables, j)
-    survivors = np.abs(beta) >= lam
-    base = float(bracket[survivors].sum())
-    return base + lam * lam * int(survivors.sum()) if mode == "STCV" else base
+    return float(_level_criterion(beta, bracket, np.array([float(lam)]), mode)[0])
+
+
+def _level_criterion(beta: np.ndarray, bracket: np.ndarray, lams: np.ndarray,
+                     mode: str) -> np.ndarray:
+    """CV_j at each lam; the survivors {|beta| >= lam} are a suffix in |beta| order."""
+    a = np.abs(beta)
+    order = np.argsort(a, kind="stable")
+    suffix = np.concatenate([np.cumsum(bracket[order][::-1])[::-1], [0.0]])
+    i = np.searchsorted(a[order], lams, side="left")
+    vals = suffix[i]
+    if mode == "STCV":
+        vals = vals + lams * lams * (len(a) - i)
+    return vals
 
 
 def _candidates(beta: np.ndarray) -> np.ndarray:
@@ -157,14 +169,8 @@ def _candidates(beta: np.ndarray) -> np.ndarray:
 
 def _select_level(beta: np.ndarray, bracket: np.ndarray, mode: str) -> tuple[float, float]:
     """Exact argmin of the criterion over the candidate set, ties to smaller lam."""
-    a = np.abs(beta)
-    order = np.argsort(a, kind="stable")
-    suffix = np.concatenate([np.cumsum(bracket[order][::-1])[::-1], [0.0]])
     cands = _candidates(beta)
-    i = np.searchsorted(a[order], cands, side="left")
-    vals = suffix[i]
-    if mode == "STCV":
-        vals = vals + cands * cands * (len(a) - i)
+    vals = _level_criterion(beta, bracket, cands, mode)
     best = int(np.argmin(vals))  # the first minimum
     return float(cands[best]), float(vals[best])
 

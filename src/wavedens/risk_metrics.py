@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -170,13 +169,11 @@ def monte_carlo_risk(spec: ProcessSpec, fit: FitFunction, M: int,
                      truth: TargetDensity | None = None,
                      moment_orders: Sequence[int] = (),
                      moment_interval: tuple[float, float] = (0.01, 1.0),
-                     threads: int = 1,
                      seed_fn: Callable[[int, int], int] = derived_seed) -> RiskReport:
     """Simulate M replicates, fit each, and aggregate risks.
 
-    Replicate r uses seed_fn(spec.seed, r); replicates may run on a thread
-    pool but are always folded in replicate order, so the report does not
-    depend on scheduling. The truth defaults to spec.target; pass truth=None
+    Replicate r uses seed_fn(spec.seed, r); replicates run one after another,
+    in replicate order. The truth defaults to spec.target; pass truth=None
     explicitly for regimes without a known density (risks are then skipped
     and only selection statistics and moments are reported).
     """
@@ -186,31 +183,23 @@ def monte_carlo_risk(spec: ProcessSpec, fit: FitFunction, M: int,
         truth = spec.target
     norms = sorted(set(p_list) | {2.0}) if truth is not None else []
 
-    def one(r: int) -> tuple[Fit, dict]:
+    fits: list[Fit] = []
+    dists: list[dict] = []
+    for r in range(M):
         seed = seed_fn(spec.seed, r)
         try:
-            sample = simulate(replace(spec, seed=seed))
-            result = fit(sample)
-            return result, {p: lp_distance(result.estimate, truth, p) for p in norms}
+            fits.append(fit(simulate(replace(spec, seed=seed))))
+            dists.append({p: lp_distance(fits[-1].estimate, truth, p) for p in norms})
         except Exception as exc:
             raise RuntimeError(f"replicate {r} (seed {seed}) failed: {exc}") from exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(M)))
-    else:
-        results = [one(r) for r in range(M)]
-
-    fits = [res[0] for res in results]
     j1s = [f.j1 for f in fits]
     mise = None
     lp_risks: dict[float, float] = {}
     if truth is not None:
-        mise = float(np.mean([res[1][2.0] ** 2 for res in results]))
-        lp_risks = {
-            p: float(np.mean([res[1][p] ** p for res in results]) ** (1.0 / p))
-            for p in p_list
-        }
+        mise = float(np.mean([d[2.0] ** 2 for d in dists]))
+        lp_risks = {p: float(np.mean([d[p] ** p for d in dists]) ** (1.0 / p))
+                    for p in p_list}
 
     moments = None
     clamps = 0

@@ -39,7 +39,7 @@ def benchmark_reports(sym8_tables, sine_target):
         for mode in ("HTCV", "STCV"):
             fit = make_fit(mode, sym8_tables, 4096)
             reports[case, mode] = monte_carlo_risk(
-                spec, fit, BENCH_M, p_list=(2.0,), method=mode, threads=4)
+                spec, fit, BENCH_M, p_list=(2.0,), method=mode)
     return reports
 
 

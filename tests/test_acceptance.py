@@ -225,7 +225,7 @@ def test_criterion_6_risk_decays_with_n(capsys, sym8_tables, sine_target):
     for n in sizes:
         spec = ProcessSpec("iid", n, seed=MASTER_SEED, target=sine_target)
         fit = make_fit("STCV", sym8_tables, 4096)
-        rep = monte_carlo_risk(spec, fit, BENCH_M, method="STCV", threads=4)
+        rep = monte_carlo_risk(spec, fit, BENCH_M, method="STCV")
         mises.append(rep.mise)
     decreasing = all(a > b for a, b in zip(mises, mises[1:]))
     ratio = [n / math.log(n) for n in sizes]

@@ -7,8 +7,10 @@ from numpy.testing import assert_allclose
 from wavedens.baseline_kernel import (KernelConfig, cv_bandwidth,
                                       kernel_estimate, lscv_score,
                                       rule_of_thumb_bandwidth)
-from wavedens.baseline_kernel import _epanechnikov, _epanechnikov_selfconv
+from wavedens.baseline_kernel import (_epanechnikov, _epanechnikov_selfconv,
+                                      _lscv_scores)
 from wavedens.estimator import Sample
+from wavedens.processes import ProcessSpec, simulate
 
 
 def _epa(u):
@@ -127,13 +129,22 @@ class TestLscvScore:
 
 class TestCvBandwidth:
     def test_achieves_the_grid_minimum(self, rng):
-        s = _sample(rng, 60)
-        h_hat = cv_bandwidth(s)
-        h_rot = rule_of_thumb_bandwidth(s)
-        grid = np.geomspace(h_rot / 10.0, 3.0 * h_rot, 40)
-        scores = [lscv_score(s, float(h)) for h in grid]
-        assert lscv_score(s, h_hat) == min(scores)
-        assert any(np.isclose(h_hat, grid))
+        """The scores cv_bandwidth takes from its one pair list are
+        lscv_score's bit for bit, so it returns the first argmin. Runs on a
+        uniform sample, an lsv path, and a sample rounded to 2 decimals (ties,
+        zero distances, and pairs 2h apart for the h = 0.005 k grid, where
+        testing the distance d <= 2h instead of xs[j] <= xs[i] + 2h moves
+        the last bits)."""
+        lsv = simulate(ProcessSpec(case="lsv", n=300, seed=5, lsv_alpha=0.5))
+        rounded = Sample(values=np.round(rng.random(200), 2), support=(0.0, 1.0))
+        for s in (_sample(rng, 60), lsv, rounded):
+            h_rot = rule_of_thumb_bandwidth(s)
+            default = np.geomspace(h_rot / 10.0, 3.0 * h_rot, 40)
+            for grid in (default, 0.005 * np.arange(1, 41)):
+                scores = [lscv_score(s, float(h)) for h in grid]
+                assert _lscv_scores(s, grid) == scores
+                assert cv_bandwidth(s, grid) == grid[int(np.argmin(scores))]
+            assert cv_bandwidth(s) == cv_bandwidth(s, default)
 
     def test_explicit_candidates(self, rng):
         s = _sample(rng, 40)
@@ -165,14 +176,14 @@ class TestKernelEstimate:
             assert est.values[idx] == pytest.approx(want, rel=1e-12)
 
     def test_chunked_evaluation_matches_direct(self, rng):
-        """n large enough that the grid is processed in several chunks."""
-        s = _sample(rng, 4096)
-        cfg = KernelConfig(bandwidth_rule="fixed", h=0.05, grid_points=4096)
-        est = kernel_estimate(s, cfg)
-        for idx in (0, 1500, 3000, 4095):
-            x0 = est.grid[idx]
-            want = _epa((x0 - s.values) / 0.05).sum() / (4096 * 0.05)
-            assert est.values[idx] == pytest.approx(want, rel=1e-12)
+        """n large enough that the grid is processed in many chunks (8 and
+        32); each row is the same sum as in one dense evaluation, bit for bit."""
+        for n in (1024, 4096):
+            s = _sample(rng, n)
+            cfg = KernelConfig(bandwidth_rule="fixed", h=0.05, grid_points=512)
+            est = kernel_estimate(s, cfg)
+            dense = _epa((est.grid[:, None] - s.values[None, :]) / 0.05).sum(axis=1)
+            assert np.array_equal(est.values, dense / (n * 0.05))
 
     def test_grid_spans_support(self, rng):
         s = _sample(rng, 20)

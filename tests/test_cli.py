@@ -15,11 +15,6 @@ DATA = Path(__file__).parent / "data"
 MINIMAL = {"experiment": "unit", "cases": [{"case": "iid"}]}
 
 
-@pytest.fixture(autouse=True)
-def _no_thread_env(monkeypatch):
-    monkeypatch.delenv("WAVEDENS_THREADS", raising=False)
-
-
 _COUNTER = itertools.count()
 
 
@@ -65,16 +60,6 @@ class TestLoadConfig:
         path = write_config(tmp_path, seed=5, out="a", threads=2)
         cfg = load_config(path, seed=9, out="b", threads=4)
         assert (cfg.seed, cfg.out, cfg.threads) == (9, "b", 4)
-
-    def test_env_beats_flag_and_file(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WAVEDENS_THREADS", "7")
-        cfg = load_config(write_config(tmp_path, threads=2), threads=3)
-        assert cfg.threads == 7
-
-    def test_bad_env_value(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WAVEDENS_THREADS", "many")
-        with pytest.raises(ConfigError, match="WAVEDENS_THREADS"):
-            load_config(write_config(tmp_path))
 
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -361,12 +346,11 @@ class TestBenchmarkCommand:
         assert main(["--config", path_b, "benchmark"]) == 0
         assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
 
-    def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
+    def test_threads_do_not_change_bytes(self, tmp_path):
         path_a = tiny_config(tmp_path, out=str(tmp_path / "a"))
         assert main(["--config", path_a, "benchmark"]) == 0
-        monkeypatch.setenv("WAVEDENS_THREADS", "4")
         path_b = tiny_config(tmp_path, out=str(tmp_path / "b"))
-        assert main(["--config", path_b, "benchmark"]) == 0
+        assert main(["--config", path_b, "--threads", "4", "benchmark"]) == 0
         assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
 
 

@@ -47,8 +47,7 @@ def first_minimiser_over_full_set(sample, tables, j, mode):
     just above each, and one value above the largest; first minimum wins.
 
     Values come from suffix sums over |beta| in ascending order, the
-    selector's own arithmetic; cv_criterion sums the survivors in translate
-    order, so its values can differ from these in the last bits.
+    arithmetic that both the selector and cv_criterion use.
     """
     _, beta, bracket = _level_stats(sample, tables, j)
     a = np.abs(beta)
@@ -218,7 +217,7 @@ class TestSelectLambda:
                 assert np.float64(sel.lambdas[j]).tobytes() == np.float64(lam).tobytes()
                 assert np.float64(values[j]).tobytes() == np.float64(value).tobytes()
                 got = cv_criterion(s, tables, j, lam, mode)
-                assert abs(got - value) <= 1e-12 * max(1.0, abs(value))
+                assert np.float64(got).tobytes() == np.float64(value).tobytes()
 
 
 class TestSelectJ1:

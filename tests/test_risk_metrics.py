@@ -155,12 +155,6 @@ class TestMonteCarloRisk:
         assert report.lp_risks[2.0] == pytest.approx(
             np.sqrt(np.mean(np.square(dists[2.0]))), rel=1e-15)
 
-    def test_threads_do_not_change_the_report(self, sine_target):
-        spec = ProcessSpec("iid", 100, seed=8, target=sine_target)
-        serial = monte_carlo_risk(spec, _kernel_fit, M=4, threads=1)
-        pooled = monte_carlo_risk(spec, _kernel_fit, M=4, threads=4)
-        assert serial.to_dict() == pooled.to_dict()
-
     def test_failing_replicate_reports_its_seed(self, sine_target):
         def broken(sample):
             raise ArithmeticError("singular")
