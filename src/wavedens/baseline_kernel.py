@@ -98,13 +98,19 @@ def _lscv_scores(sample: Sample, hs: np.ndarray) -> list[float]:
     upper = np.searchsorted(xs, xs + 2.0 * hs[-1], side="right")
     lo = np.repeat(xs, upper - np.arange(1, n + 1))
     hi = np.concatenate([xs[i + 1:u] for i, u in enumerate(upper)])
+    buf = np.empty(len(lo))
     scores = []
     for h in hs[::-1]:
         if h < hs[-1]:
             keep = hi <= lo + 2.0 * h
             lo, hi = lo[keep], hi[keep]
         d = hi - lo
-        sum_kk = _epanechnikov_selfconv(d / h).sum()
+        kk = buf[:len(d)]
+        # 2^16 values per block, so the temporaries stay in cache; the sum
+        # still runs once over the whole pair list
+        for start in range(0, len(d), 2**16):
+            kk[start:start + 2**16] = _epanechnikov_selfconv(d[start:start + 2**16] / h)
+        sum_kk = kk.sum()
         sum_k = _epanechnikov(d[d <= h] / h).sum()
         sq_norm = (0.6 * n + 2.0 * sum_kk) / (n * n * h)
         loo = 2.0 * sum_k / ((n - 1) * h)

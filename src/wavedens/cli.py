@@ -205,7 +205,7 @@ def load_config(path: str, seed: int | None = None, out: str | None = None,
 
 def _cv_fit(sample, tables, mode, grid_points):
     estimate, sel = fit_cv(sample, tables, mode=mode, grid_points=grid_points)
-    return Fit(estimate, j0=sel.j0, j1=sel.j1_hat, lambdas=sel.lambdas,
+    return Fit(estimate, j1=sel.j1_hat, lambdas=sel.lambdas,
                killed_fraction=sel.killed_fraction, diagnostics=sel)
 
 
@@ -214,8 +214,8 @@ def _theoretical_fit(sample, tables, mode, grid_points, K, b):
     coeffs = apply_plan(empirical_coefficients(sample, tables, plan.j0, plan.j1), plan)
     meta = f"theoretical-{mode} j0={plan.j0} j1={plan.j1} n={sample.n} K={K}"
     fractions = {lev.j: float(lev.killed.mean()) for lev in coeffs.details}
-    return Fit(reconstruct(coeffs, tables, grid_points, meta=meta), j0=plan.j0,
-               j1=plan.j1, lambdas=plan.lambdas, killed_fraction=fractions)
+    return Fit(reconstruct(coeffs, tables, grid_points, meta=meta), j1=plan.j1,
+               lambdas=plan.lambdas, killed_fraction=fractions)
 
 
 def _kernel_fit(sample, rule, grid_points):

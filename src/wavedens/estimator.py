@@ -94,32 +94,19 @@ class CoefficientSet:
                 return lev
         raise KeyError(f"no detail level j={j}")
 
-    def to_records(self) -> list[dict]:
-        """Flat JSON-friendly records (kind, j, k, value, thresholded)."""
-        recs = []
-        for kind, levels in (("scaling", [self.scaling]), ("detail", self.details)):
-            for lev in levels:
-                killed = lev.killed if lev.killed is not None else np.zeros(len(lev.values), bool)
-                for k, v, dead in zip(lev.k_values(), lev.values, killed):
-                    recs.append(
-                        {"kind": kind, "j": int(lev.j), "k": int(k),
-                         "value": float(v), "thresholded": bool(dead)}
-                    )
-        return recs
-
 
 @dataclass(frozen=True)
 class ThresholdPlan:
     """Per-level thresholds and the highest retained detail level j1."""
 
-    mode: str  # hard | soft | none
+    mode: str  # hard | soft
     lambdas: dict[int, float]
     j0: int
     j1: int
 
     def __post_init__(self):
-        if self.mode not in ("hard", "soft", "none"):
-            raise ValueError(f"threshold mode must be hard, soft or none, got {self.mode!r}")
+        if self.mode not in ("hard", "soft"):
+            raise ValueError(f"threshold mode must be hard or soft, got {self.mode!r}")
         if self.j1 < self.j0:
             raise ValueError(f"plan has j1={self.j1} < j0={self.j0}")
         if any(lam < 0 for lam in self.lambdas.values()):
@@ -236,22 +223,21 @@ def soft_threshold(beta, lam):
     return float(out) if b.ndim == 0 else out
 
 
-def theoretical_plan(n: int, N: int, b: float, K: float = 1.0, mode: str = "hard",
-                     j0_base: float = math.e, j1_base: float = 2.0) -> ThresholdPlan:
+def theoretical_plan(n: int, N: int, b: float, K: float = 1.0,
+                     mode: str = "hard") -> ThresholdPlan:
     """The theoretical schedule: j0, j1 and lambda_j = K sqrt(j/n).
 
-    j0 is the smallest integer larger than log(n)/(1+N) and j1 the largest
-    integer smaller than log(n * log(n)**(-2/b - 3)); the inner logarithm is
-    natural, the outer bases default to e for j0 and 2 for j1 and can be
-    changed for sensitivity checks. Small n (or small b) leaves no room
-    between j0 and j1, which raises a degenerate-schedule error.
+    j0 is the smallest integer larger than ln(n)/(1+N) and j1 the largest
+    integer smaller than log2(n * ln(n)**(-2/b - 3)). Small n (or small b)
+    leaves no room between j0 and j1, which raises a degenerate-schedule
+    error.
     """
     if n < 8:
         raise ValueError(f"n must be at least 8, got {n}")
     if N < 1 or b <= 0 or K <= 0:
         raise ValueError(f"need N >= 1, b > 0, K > 0, got N={N}, b={b}, K={K}")
-    j0 = math.floor(math.log(n) / math.log(j0_base) / (1 + N)) + 1
-    w = (math.log(n) + (-2.0 / b - 3.0) * math.log(math.log(n))) / math.log(j1_base)
+    j0 = math.floor(math.log(n) / (1 + N)) + 1
+    w = (math.log(n) + (-2.0 / b - 3.0) * math.log(math.log(n))) / math.log(2.0)
     j1 = math.ceil(w) - 1
     if j1 < j0:
         raise ValueError(
@@ -265,8 +251,7 @@ def apply_plan(coeffs: CoefficientSet, plan: ThresholdPlan) -> CoefficientSet:
     """Threshold detail levels j0..j1, zero levels above j1, keep scaling."""
     if plan.j1 > coeffs.jmax:
         raise ValueError(f"plan j1={plan.j1} exceeds stored levels (jmax={coeffs.jmax})")
-    shrink = {"hard": hard_threshold, "soft": soft_threshold, "none": lambda b, lam: b}
-    gamma = shrink[plan.mode]
+    gamma = hard_threshold if plan.mode == "hard" else soft_threshold
     new_details = []
     for lev in coeffs.details:
         if lev.j > plan.j1:

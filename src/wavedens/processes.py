@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .estimator import Sample
 
@@ -97,15 +96,46 @@ def _bisect_inverse(cdf, lo: float, hi: float, u: np.ndarray) -> np.ndarray:
     return 0.5 * (a + b)
 
 
+def _tabulated_target(kind: str, params: dict, density, support) -> TargetDensity:
+    """Normalize `density` by trapezoid quadrature on 2^16 + 1 points.
+
+    The cdf interpolates the cumulative table and the inverse cdf bisects it;
+    the normalized density is 0 off the support.
+    """
+    lo, hi = support
+    xs = np.linspace(lo, hi, 2**16 + 1)
+    ys = np.asarray(density(xs), dtype=np.float64)
+    if np.any(ys < 0) or not np.all(np.isfinite(ys)):
+        raise ValueError(f"{kind} density must be finite and nonnegative")
+    cum = np.concatenate([[0.0], np.cumsum((ys[1:] + ys[:-1]) / 2 * np.diff(xs))])
+    mass = cum[-1]
+    if mass <= 0:
+        raise ValueError(f"{kind} density has no mass on the support")
+    cum /= mass
+
+    def normalized(x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.where((x >= lo) & (x <= hi), np.asarray(density(x)) / mass, 0.0)
+
+    def cdf(x):
+        return np.interp(np.asarray(x, dtype=np.float64), xs, cum)
+
+    def inverse_cdf(u):
+        return _bisect_inverse(cdf, lo, hi, u)
+
+    return TargetDensity(kind, params, (float(lo), float(hi)), normalized, cdf, inverse_cdf)
+
+
 def build_target(kind: str, params: dict | None = None) -> TargetDensity:
     """Construct one of the built-in target densities (or a custom one).
 
     sine_uniform_mixture: c*(1 + sin(pi x)) on [0, 1/2), constant c on
-    [1/2, 1], c = pi/(pi+1), so the density jumps at 1/2.
+    [1/2, 1], c = pi/(pi+1), so the density jumps at 1/2; closed-form cdf.
     gaussian_mixture: equal-weight normals at 0.35 and 0.65 (sd 0.1 each),
-    truncated to [0, 1] and renormalized.
-    custom: params must carry a `density` callable and `support`; the cdf is
-    built by quadrature and the density is normalized to unit mass.
+    truncated to [0, 1] and renormalized. An sd below (hi - lo)/1000 is
+    rejected, since the tabulated cdf cannot resolve it.
+    custom: params must carry a `density` callable and `support`.
+    Both of the latter get a tabulated cdf (see _tabulated_target).
     A param the kind does not read raises ValueError.
     """
     params = dict(params or {})
@@ -148,58 +178,22 @@ def build_target(kind: str, params: dict | None = None) -> TargetDensity:
             raise ValueError("gaussian_mixture means, sds and weights differ in length")
         if np.any(sds <= 0) or weights.sum() <= 0:
             raise ValueError("gaussian_mixture parameters are not normalizable")
+        if np.any(sds < (hi - lo) / 1000):
+            raise ValueError(f"gaussian_mixture sds must be at least (hi - lo)/1000 = "
+                             f"{(hi - lo) / 1000:g}, got {sds.tolist()}")
         weights = weights / weights.sum()
 
-        def raw_cdf(x):
-            x = np.asarray(x, dtype=np.float64)[..., None]
-            return (weights * ndtr((x - means) / sds)).sum(axis=-1)
-
-        mass = raw_cdf(hi) - raw_cdf(lo)
-        if mass <= 0:
-            raise ValueError("gaussian_mixture has no mass on the support")
-
         def density(x):
-            x = np.asarray(x, dtype=np.float64)
             z = (x[..., None] - means) / sds
-            pdf = (weights * np.exp(-0.5 * z * z) / (sds * math.sqrt(2 * math.pi))).sum(axis=-1)
-            return np.where((x >= lo) & (x <= hi), pdf / mass, 0.0)
-
-        def cdf(x):
-            x = np.asarray(x, dtype=np.float64)
-            return np.clip((raw_cdf(np.clip(x, lo, hi)) - raw_cdf(lo)) / mass, 0.0, 1.0)
-
-        def inverse_cdf(u):
-            return _bisect_inverse(cdf, lo, hi, u)
+            return (weights * np.exp(-0.5 * z * z) / (sds * math.sqrt(2 * math.pi))).sum(axis=-1)
 
         pp = {"means": means.tolist(), "sds": sds.tolist(), "weights": weights.tolist()}
-        return TargetDensity(kind, pp, (float(lo), float(hi)), density, cdf, inverse_cdf)
+        return _tabulated_target(kind, pp, density, (lo, hi))
 
-    if kind == "custom":
-        if "density" not in params or "support" not in params:
-            raise ValueError("custom target needs 'density' and 'support' params")
-        raw = params["density"]
-        lo, hi = params["support"]
-        xs = np.linspace(lo, hi, 2**16 + 1)
-        ys = np.asarray(raw(xs), dtype=np.float64)
-        if np.any(ys < 0) or not np.all(np.isfinite(ys)):
-            raise ValueError("custom density must be finite and nonnegative")
-        cum = np.concatenate([[0.0], np.cumsum((ys[1:] + ys[:-1]) / 2 * np.diff(xs))])
-        mass = cum[-1]
-        if mass <= 0:
-            raise ValueError("custom density has no mass")
-        cum /= mass
-
-        def density(x):
-            return np.asarray(raw(np.asarray(x, dtype=np.float64))) / mass
-
-        def cdf(x):
-            return np.interp(np.asarray(x, dtype=np.float64), xs, cum)
-
-        def inverse_cdf(u):
-            return _bisect_inverse(cdf, lo, hi, u)
-
-        return TargetDensity(kind, {"support": (lo, hi)}, (float(lo), float(hi)),
-                             density, cdf, inverse_cdf)
+    if "density" not in params or "support" not in params:
+        raise ValueError("custom target needs 'density' and 'support' params")
+    lo, hi = params["support"]
+    return _tabulated_target(kind, {"support": (lo, hi)}, params["density"], (lo, hi))
 
 
 def _logistic_trajectory(n: int, rng: np.random.Generator) -> np.ndarray:

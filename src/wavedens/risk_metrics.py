@@ -33,7 +33,6 @@ class Fit:
     """
 
     estimate: DensityEstimate
-    j0: int | None = None
     j1: int | None = None
     lambdas: dict[int, float] | None = None
     killed_fraction: dict[int, float] | None = None
@@ -101,7 +100,6 @@ class DecayProfile:
     variance: float
     floor: np.ndarray
     slope: float | None
-    intercept: float | None
     sub_noise: bool
 
     def __post_init__(self):
@@ -166,21 +164,18 @@ def integrated_moments(estimates: Sequence[DensityEstimate], k: int,
 
 def monte_carlo_risk(spec: ProcessSpec, fit: FitFunction, M: int,
                      p_list: Sequence[float] = (2.0,), method: str = "",
-                     truth: TargetDensity | None = None,
                      moment_orders: Sequence[int] = (),
-                     moment_interval: tuple[float, float] = (0.01, 1.0),
                      seed_fn: Callable[[int, int], int] = derived_seed) -> RiskReport:
     """Simulate M replicates, fit each, and aggregate risks.
 
     Replicate r uses seed_fn(spec.seed, r); replicates run one after another,
-    in replicate order. The truth defaults to spec.target; pass truth=None
-    explicitly for regimes without a known density (risks are then skipped
-    and only selection statistics and moments are reported).
+    in replicate order. Risks are measured against spec.target; the lsv
+    regime has no known density, so there they are skipped and only
+    selection statistics and moments are reported.
     """
     if M < 2:
         raise ValueError(f"need M >= 2 replicates, got M={M}")
-    if truth is None and spec.case != "lsv":
-        truth = spec.target
+    truth = None if spec.case == "lsv" else spec.target
     norms = sorted(set(p_list) | {2.0}) if truth is not None else []
 
     fits: list[Fit] = []
@@ -206,8 +201,7 @@ def monte_carlo_risk(spec: ProcessSpec, fit: FitFunction, M: int,
     if moment_orders:
         moments = {}
         for k in moment_orders:
-            value, c = integrated_moments([f.estimate for f in fits], k,
-                                          moment_interval)
+            value, c = integrated_moments([f.estimate for f in fits], k)
             moments[k] = value
             clamps += c
 
@@ -262,11 +256,10 @@ def covariance_decay(sample: Sample, tables: WaveletTables, j: int, k: int,
     above = np.abs(covs) > floor
     sub_noise = above.mean() <= 0.05
     fit_mask = above & (lags >= 5)
-    slope = intercept = None
+    slope = None
     if fit_mask.sum() >= 3:
-        coef = np.polyfit(np.log(lags[fit_mask]), np.log(np.abs(covs[fit_mask])), 1)
-        slope, intercept = float(coef[0]), float(coef[1])
+        slope = float(np.polyfit(np.log(lags[fit_mask]), np.log(np.abs(covs[fit_mask])), 1)[0])
     return DecayProfile(
         j=j, k=k, lags=lags, covariances=covs, variance=variance,
-        floor=floor, slope=slope, intercept=intercept, sub_noise=sub_noise,
+        floor=floor, slope=slope, sub_noise=sub_noise,
     )

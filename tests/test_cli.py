@@ -3,10 +3,14 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wavedens
 from wavedens.cli import ConfigError, load_config, main
 from wavedens.processes import derived_seed
 
@@ -117,6 +121,8 @@ class TestLoadConfig:
         ({"case": "noncausal_ar", "target": "gaussian_mixture",
           "target_params": {"means": [0.5], "sds": [0.1], "weights": [1, 1, 1]}},
          "differ in length"),
+        ({"case": "iid", "target": "gaussian_mixture",
+          "target_params": {"sds": [0.1, 0.0009]}}, "sds must be at least"),
     ])
     def test_target_params_checked(self, tmp_path, block, hint):
         path = write_config(tmp_path, cases=[block])
@@ -223,6 +229,16 @@ class TestExitCodes:
                      "--method", "theoretical-hard", "--K", "1.0"])
         assert code == 3
         assert "degenerate schedule" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only; the program must run without it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(wavedens.__file__).resolve().parents[1])}
+    code = ("import sys, wavedens.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSimulateCommand:

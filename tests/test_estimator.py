@@ -72,13 +72,6 @@ class TestEmpiricalCoefficients:
         with pytest.raises(KeyError):
             coeffs.detail(9)
 
-    def test_records_schema(self, sym8_tables):
-        sample = Sample(values=np.array([0.3, 0.6]), support=(0.0, 1.0))
-        coeffs = empirical_coefficients(sample, sym8_tables, j0=1, jmax=1)
-        recs = coeffs.to_records()
-        assert {r["kind"] for r in recs} == {"scaling", "detail"}
-        assert all(set(r) == {"kind", "j", "k", "value", "thresholded"} for r in recs)
-
 
 class TestThresholdRules:
     def test_hard_is_strict(self):

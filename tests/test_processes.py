@@ -95,6 +95,23 @@ class TestTargets:
         assert np.all(np.diff(x) >= 0)
         assert np.max(np.abs(target.cdf(x) - u)) < 1e-8
 
+    @pytest.mark.parametrize("params", [
+        None,
+        {"means": (0.2, 0.5, 0.8), "sds": (0.05, 0.1, 0.05), "weights": (1, 2, 1)},
+    ])
+    def test_gaussian_mixture_cdf_matches_closed_form(self, params):
+        """The tabulated cdf against the truncated mixture of normal cdfs."""
+        from scipy.special import ndtr
+        target = build_target("gaussian_mixture", params)
+        means, sds, weights = (np.array(target.params[k]) for k in ("means", "sds", "weights"))
+
+        def raw_cdf(x):
+            return (weights * ndtr((np.asarray(x)[..., None] - means) / sds)).sum(axis=-1)
+
+        xs = np.linspace(0.0, 1.0, 10_001)
+        want = (raw_cdf(xs) - raw_cdf(0.0)) / (raw_cdf(1.0) - raw_cdf(0.0))
+        assert np.max(np.abs(target.cdf(xs) - want)) < 2e-9
+
     def test_gaussian_mixture_mass_one(self):
         target = build_target("gaussian_mixture")
         xs = np.linspace(0.0, 1.0, 100_001)
@@ -107,6 +124,12 @@ class TestTargets:
     def test_custom_requires_density_and_support(self):
         with pytest.raises(ValueError, match="density"):
             build_target("custom", {"support": (0.0, 1.0)})
+
+    def test_custom_density_vanishes_off_support(self):
+        target = build_target("custom", {"density": lambda x: 1.0 + 0.0 * x,
+                                         "support": (0.25, 0.75)})
+        got = target.density(np.array([0.0, 0.2, 0.25, 0.5, 0.75, 0.8, 1.0]))
+        assert np.array_equal(got, [0.0, 0.0, 2.0, 2.0, 2.0, 0.0, 0.0])
 
     def test_custom_rejects_negative_density(self):
         with pytest.raises(ValueError, match="nonnegative"):

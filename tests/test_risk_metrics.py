@@ -175,7 +175,7 @@ class TestMonteCarloRisk:
     def test_selection_statistics_aggregated(self, sine_target, sym8_tables):
         def cv_fit(sample):
             est, sel = fit_cv(sample, sym8_tables, mode="STCV", grid_points=128)
-            return Fit(est, j0=sel.j0, j1=sel.j1_hat, lambdas=sel.lambdas,
+            return Fit(est, j1=sel.j1_hat, lambdas=sel.lambdas,
                        killed_fraction={1: 0.5}, diagnostics=sel)
 
         spec = ProcessSpec("iid", 64, seed=13, target=sine_target)
@@ -269,7 +269,6 @@ class TestCovarianceDecay:
         prof = covariance_decay(s, sym8_tables, 2, 1, max_lag=100)
         assert not prof.sub_noise
         assert prof.slope is not None and -1.5 < prof.slope < -0.2
-        assert prof.intercept is not None
 
     def test_psi_probe_accepted(self, sym8_tables, sine_target):
         s = simulate(ProcessSpec("iid", 400, seed=9, target=sine_target))
@@ -288,10 +287,8 @@ class TestCovarianceDecay:
         with pytest.raises(ValueError, match="strictly increasing"):
             DecayProfile(j=2, k=1, lags=np.array([2, 1]),
                          covariances=np.zeros(2), variance=1.0,
-                         floor=np.zeros(2), slope=None, intercept=None,
-                         sub_noise=True)
+                         floor=np.zeros(2), slope=None, sub_noise=True)
         with pytest.raises(ValueError, match=">= 1"):
             DecayProfile(j=2, k=1, lags=np.array([0, 1]),
                          covariances=np.zeros(2), variance=1.0,
-                         floor=np.zeros(2), slope=None, intercept=None,
-                         sub_noise=True)
+                         floor=np.zeros(2), slope=None, sub_noise=True)
