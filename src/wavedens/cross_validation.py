@@ -117,7 +117,7 @@ def _level_stats(sample: Sample, tables: WaveletTables, j: int):
         raise ValueError(f"the pairwise term needs n >= 2, got n={n}")
     lo, hi = sample.support
     k_min, k_max = tables.k_range(j, lo, hi)
-    i, w = _level_lookups(tables, "psi", j, sample.values, k_min, k_max)
+    i, w = _level_lookups(tables, "psi", j, sample.values, k_min)
     S = np.bincount(i, w, minlength=k_max - k_min + 1) * 2.0 ** (j / 2)
     Q = np.bincount(i, w * w, minlength=k_max - k_min + 1) * 2.0**j
     beta = S / n
@@ -139,38 +139,50 @@ def cv_criterion(sample: Sample, tables: WaveletTables, j: int, lam: float,
     if lam < 0:
         raise ValueError(f"negative threshold {lam}")
     _, beta, bracket = _level_stats(sample, tables, j)
-    return float(_level_criterion(beta, bracket, np.array([float(lam)]), mode)[0])
+    a, b = _by_magnitude(beta, bracket)
+    return float(_level_criterion(a, b, np.array([float(lam)]), mode)[0])
 
 
-def _level_criterion(beta: np.ndarray, bracket: np.ndarray, lams: np.ndarray,
-                     mode: str) -> np.ndarray:
-    """CV_j at each lam; the survivors {|beta| >= lam} are a suffix in |beta| order."""
+def _by_magnitude(beta: np.ndarray, bracket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|beta| in ascending order (stable sort) and bracket in the same order."""
     a = np.abs(beta)
     order = np.argsort(a, kind="stable")
-    suffix = np.concatenate([np.cumsum(bracket[order][::-1])[::-1], [0.0]])
-    i = np.searchsorted(a[order], lams, side="left")
+    return a[order], bracket[order]
+
+
+def _level_criterion(a: np.ndarray, bracket: np.ndarray, lams: np.ndarray,
+                     mode: str) -> np.ndarray:
+    """CV_j at each lam from _by_magnitude's (a, bracket).
+
+    The survivors {|beta| >= lam} are the suffix of a from searchsorted on.
+    """
+    suffix = np.concatenate([np.cumsum(bracket[::-1])[::-1], [0.0]])
+    i = np.searchsorted(a, lams, side="left")
     vals = suffix[i]
     if mode == "STCV":
         vals = vals + lams * lams * (len(a) - i)
     return vals
 
 
-def _candidates(beta: np.ndarray) -> np.ndarray:
-    """The thresholds that can win: 0 and just above each distinct |beta|.
+def _candidates(a: np.ndarray) -> np.ndarray:
+    """The thresholds that can win, from the ascending |beta| values a.
 
-    With distinct |beta| values b_0 < ... < b_last, the survivor set
-    {|beta| >= lam} is the same for every lam in (b_{i-1}, b_i], so there the
-    hard criterion is constant and the soft one grows with lam. With ties
-    going to the smaller lam, b_i never beats nextafter(b_{i-1}), b_0 never
-    beats 0, and no lam above b_last beats nextafter(b_last) (empty set).
+    0 and just above each distinct value. With distinct values b_0 < ... <
+    b_last, the survivor set {|beta| >= lam} is the same for every lam in
+    (b_{i-1}, b_i], so there the hard criterion is constant and the soft one
+    grows with lam. With ties going to the smaller lam, b_i never beats
+    nextafter(b_{i-1}), b_0 never beats 0, and no lam above b_last beats
+    nextafter(b_last) (empty set).
     """
-    return np.concatenate([[0.0], np.nextafter(np.unique(np.abs(beta)), np.inf)])
+    first = np.concatenate([[True], a[1:] != a[:-1]])  # first of each run of equal values
+    return np.concatenate([[0.0], np.nextafter(a[first], np.inf)])
 
 
 def _select_level(beta: np.ndarray, bracket: np.ndarray, mode: str) -> tuple[float, float]:
     """Exact argmin of the criterion over the candidate set, ties to smaller lam."""
-    cands = _candidates(beta)
-    vals = _level_criterion(beta, bracket, cands, mode)
+    a, b = _by_magnitude(beta, bracket)
+    cands = _candidates(a)
+    vals = _level_criterion(a, b, cands, mode)
     best = int(np.argmin(vals))  # the first minimum
     return float(cands[best]), float(vals[best])
 

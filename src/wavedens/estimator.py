@@ -4,6 +4,11 @@ The estimator is the classical thresholded wavelet series: scaling
 coefficients at a coarse level j0, detail coefficients up to a level j1, with
 detail coefficients shrunk by a hard or soft rule before synthesis on a grid.
 Scaling coefficients are never thresholded.
+
+Both the level sums and the synthesis read the wavelet tables through their
+polyphase form (WaveletTables.polyphase): one residue per point, then one
+gather per tap. A level sum is one np.bincount over the tap-major (2N, n)
+index array; a synthesis adds the 2N taps' gathers in turn.
 """
 
 from __future__ import annotations
@@ -134,47 +139,42 @@ class DensityEstimate:
         return float(np.trapezoid(self.values, self.grid))
 
 
-def _tap_lookups(tables: WaveletTables, kind: str, j: int, x: np.ndarray,
-                 k_min: int, k_max: int):
-    """Raw lookups of (phi|psi)_{j,k}(x) per tap k = floor(2^j x - N + 1) + t.
-
-    For t = 0..2N-1 yields (ok, i, w): ok masks the points with k in
-    k_min..k_max that hit the table, i = k - k_min and w the table values
-    there. The 2^(j/2) dilation factor is not applied.
-    """
-    N = tables.vanishing_moments
-    u = x * float(2**j)
-    kbase = np.floor(u - N + 1).astype(np.int64)
-    # only a level narrower than its support has translates outside k_min..k_max
-    clip = kbase.min() < k_min or kbase.max() + 2 * N - 1 > k_max
-    for t in range(2 * N):
-        k = kbase + t
-        ok, w = tables.lookup(kind, u - k)
-        if clip:
-            inside = (k >= k_min) & (k <= k_max)
-            ok, w = ok & inside, w[inside[ok]]
-        yield ok, k[ok] - k_min, w
-
-
 def _level_lookups(tables: WaveletTables, kind: str, j: int, x: np.ndarray,
-                   k_min: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every tap's (i, w) from _tap_lookups, concatenated tap-major.
+                   k_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every tap's (i = k - k_min, w) for the points x at level j, tap-major.
 
-    np.bincount(i, w, minlength=k_max - k_min + 1) then adds each translate's
-    lookups tap by tap, each tap in sample order. The 2^(j/2) dilation factor
-    is not applied.
+    np.bincount(i, w) then adds each translate's weights tap by tap, each tap
+    in sample order; the zero weights of taps off the table leave a bin as it
+    is, since bins start at +0.0. The translates k_range gives for an interval
+    containing x hold every tap. The 2^(j/2) dilation factor is not applied.
     """
-    _, i, w = zip(*_tap_lookups(tables, kind, j, x, k_min, k_max))
-    return np.concatenate(i), np.concatenate(w)
+    poly = tables.polyphase(kind)
+    kbase, rho = tables.residues(j, x)
+    i = (kbase - k_min)[None, :] + np.arange(len(poly))[:, None]
+    return i.ravel(), poly[:, rho].ravel()
 
 
 def _synthesize_level(tables: WaveletTables, kind: str, lev: CoefficientLevel,
                       x: np.ndarray) -> np.ndarray:
-    """sum_k c_k * (phi|psi)_{j,k}(x) for one coefficient level."""
+    """sum_k c_k * (phi|psi)_{j,k}(x) for one coefficient level.
+
+    A tap off the table adds c * 0.0, which leaves out as it is: out starts
+    at +0.0, so it never holds -0.0. Only a level that stores a slice of its
+    translates needs the mask that drops the taps without a coefficient.
+    """
+    poly = tables.polyphase(kind)
+    kbase, rho = tables.residues(lev.j, x)
+    i0 = kbase - lev.k_min
+    c = lev.values
     out = np.zeros(len(x))
-    k_max = lev.k_min + len(lev.values) - 1
-    for ok, i, w in _tap_lookups(tables, kind, lev.j, x, lev.k_min, k_max):
-        out[ok] += lev.values[i] * w
+    if i0.min() >= 0 and i0.max() + len(poly) <= len(c):
+        for t, row in enumerate(poly):
+            out += c[i0 + t] * row[rho]
+    else:
+        for t, row in enumerate(poly):
+            i = i0 + t
+            inside = (i >= 0) & (i < len(c))
+            out[inside] += c[i[inside]] * row[rho[inside]]
     return out * 2.0 ** (lev.j / 2)
 
 
@@ -192,7 +192,7 @@ def empirical_coefficients(sample: Sample, tables: WaveletTables,
 
     def level(kind: str, j: int) -> CoefficientLevel:
         k_min, k_max = tables.k_range(j, lo, hi)
-        i, w = _level_lookups(tables, kind, j, sample.values, k_min, k_max)
+        i, w = _level_lookups(tables, kind, j, sample.values, k_min)
         S = np.bincount(i, w, minlength=k_max - k_min + 1)
         return CoefficientLevel(j=j, k_min=k_min, values=2.0 ** (j / 2) * S / n)
 

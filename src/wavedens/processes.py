@@ -84,15 +84,22 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _bisect_inverse(cdf, lo: float, hi: float, u: np.ndarray) -> np.ndarray:
-    """Monotone bisection for cdf(x) = u, accurate to (hi-lo) * 2**-90."""
+    """Monotone bisection for cdf(x) = u, accurate to (hi-lo) * 2**-90.
+
+    A step is a fixed map of (a, b), so once one leaves every bracket
+    unchanged all later steps would too, and the loop stops there.
+    """
     u = np.asarray(u, dtype=np.float64)
     a = np.full(u.shape, lo)
     b = np.full(u.shape, hi)
     for _ in range(90):
         mid = 0.5 * (a + b)
         below = cdf(mid) < u
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
+        a_next = np.where(below, mid, a)
+        b_next = np.where(below, b, mid)
+        if np.array_equal(a_next, a) and np.array_equal(b_next, b):
+            break
+        a, b = a_next, b_next
     return 0.5 * (a + b)
 
 

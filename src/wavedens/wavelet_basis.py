@@ -5,6 +5,14 @@ scaling function phi and wavelet psi by the cascade refinement, and evaluates
 phi_{j,k}, psi_{j,k} at arbitrary points by snapping to the nearest dyadic
 grid point of the table.
 
+The 2N translates that reach a point x at level j read the table 2**depth
+apart, at one shared residue. So each point is snapped once: its first
+translate is kbase = floor(2**j x - N + 1), and its residue rho in
+0..2**depth is 2**j x - kbase - (N - 1) in table steps, rounded by rint (ties
+to even). A (2N, 2**depth + 1) polyphase table, built once per kind, holds
+every translate's weight at [k - kbase, rho]; level sums, synthesis and eval
+all gather from it.
+
 Conventions: phi has natural support [0, 2N-1] and is stored that way; for
 evaluation it is re-indexed by the integer shift N-1 so that both phi and psi
 live on [1-N, N]. Integer shifts only relabel the translates k, so the family
@@ -14,7 +22,7 @@ stays orthonormal across levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,6 +138,15 @@ class WaveletTables:
     depth: int
     phi_values: np.ndarray
     psi_values: np.ndarray
+    _polyphase: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        N, step = self.vanishing_moments, 2**self.depth
+        idx = np.arange(step + 1) + (2 * N - 2 - np.arange(2 * N))[:, None] * step
+        object.__setattr__(self, "_polyphase", {
+            kind: np.where(idx >= 0, table[np.maximum(idx, 0)], 0.0)
+            for kind, table in (("phi", self.phi_values), ("psi", self.psi_values))
+        })
 
     @property
     def vanishing_moments(self) -> int:
@@ -141,19 +158,30 @@ class WaveletTables:
         lo = 0.0 if kind == "phi" else float(1 - N)
         return lo + np.arange(len(self.psi_values)) / 2**self.depth
 
-    def lookup(self, kind: str, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(ok, weights) of the centered phi or psi at the points u = 2**j x - k.
+    def polyphase(self, kind: str) -> np.ndarray:
+        """The (2N, 2**depth + 1) polyphase table of the centered phi or psi.
 
-        Each point snaps to the nearest dyadic table point; ok masks the points
-        inside the support [1-N, N] and weights holds their values in order.
+        Entry [t, rho] is the table value at rho + (2N - 2 - t) * 2**depth,
+        and 0 where that index falls below the table.
         """
         if kind not in ("phi", "psi"):
             raise ValueError(f"kind must be 'phi' or 'psi', got {kind!r}")
-        table = self.phi_values if kind == "phi" else self.psi_values
-        idx = (u + (self.vanishing_moments - 1)) * 2**self.depth
-        np.rint(idx, out=idx)  # in place: one large temporary fewer per call
-        ok = (idx >= 0) & (idx < len(table))
-        return ok, table[idx[ok].astype(np.int64)]
+        return self._polyphase[kind]
+
+    def residues(self, j: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(kbase, rho) of the points x at level j (see the module docstring).
+
+        Translate kbase + t, t = 0..2N-1, weighs x by polyphase(kind)[t, rho].
+        rho lies in 0..2**depth; the clip acts only beyond |2**j x| of about
+        2**(52 - depth), where 2**j x - N + 1 can round up to an integer.
+        """
+        N = self.vanishing_moments
+        u = x * float(2**j)
+        kbase = np.floor(u - N + 1)
+        rho = np.rint((u - kbase + (N - 1)) * 2**self.depth).astype(np.int64)
+        rho -= (2 * N - 2) * 2**self.depth
+        np.clip(rho, 0, 2**self.depth, out=rho)
+        return kbase.astype(np.int64), rho
 
     def eval(self, kind: str, j: int, k: int, x):
         """Evaluate phi_{j,k} or psi_{j,k} at x (scalar or array).
@@ -161,10 +189,14 @@ class WaveletTables:
         Returns 2**(j/2) * table[nearest dyadic point of 2**j x - k], and 0
         outside the support [1-N, N] of the centered functions.
         """
+        poly = self.polyphase(kind)
         x_arr = np.asarray(x, dtype=np.float64)
-        ok, weights = self.lookup(kind, np.atleast_1d(x_arr) * float(2**j) - k)
-        out = np.zeros(ok.shape)
-        out[ok] = weights * 2.0 ** (j / 2)
+        finite = np.isfinite(np.atleast_1d(x_arr))  # nan and inf have no translate
+        kbase, rho = self.residues(j, np.where(finite, x_arr, 0.0))
+        t = k - kbase
+        ok = finite & (t >= 0) & (t < len(poly))
+        out = np.zeros(t.shape)
+        out[ok] = poly[t[ok], rho[ok]] * 2.0 ** (j / 2)
         return float(out[0]) if x_arr.ndim == 0 else out
 
     def k_range(self, j: int, lo: float, hi: float) -> tuple[int, int]:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from wavedens import processes
 from wavedens.processes import (ProcessSpec, build_target, case3_marginal_cdf,
                                 derived_seed, lsv_step, simulate)
 
@@ -21,6 +22,19 @@ def _invert_marginal_cdf(u):
     for _ in range(80):
         mid = 0.5 * (a + b)
         below = case3_marginal_cdf(mid) < u
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+    return 0.5 * (a + b)
+
+
+def _bisect_90_steps(cdf, lo, hi, u):
+    """Reference inverse: the monotone bisection run for all 90 steps."""
+    u = np.asarray(u, dtype=np.float64)
+    a = np.full(u.shape, lo)
+    b = np.full(u.shape, hi)
+    for _ in range(90):
+        mid = 0.5 * (a + b)
+        below = cdf(mid) < u
         a = np.where(below, mid, a)
         b = np.where(below, b, mid)
     return 0.5 * (a + b)
@@ -94,6 +108,34 @@ class TestTargets:
         x = target.inverse_cdf(u)
         assert np.all(np.diff(x) >= 0)
         assert np.max(np.abs(target.cdf(x) - u)) < 1e-8
+
+    @pytest.mark.parametrize("kind,params", [
+        ("sine_uniform_mixture", None),
+        ("gaussian_mixture", None),
+        ("custom", {"density": lambda x: 1.0 + np.asarray(x) ** 2, "support": (-0.5, 2.0)}),
+    ])
+    def test_bisection_stop_keeps_the_bytes(self, kind, params, monkeypatch):
+        """Stopping at the bisection's fixed point returns the 90-step bytes."""
+        target = build_target(kind, params)
+        rng = np.random.default_rng(11)
+        u = np.concatenate([[0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5],
+                            np.round(rng.random(400), 3), rng.random(400)])
+        got = target.inverse_cdf(u)
+        monkeypatch.setattr(processes, "_bisect_inverse", _bisect_90_steps)
+        assert got.tobytes() == target.inverse_cdf(u).tobytes()
+
+    def test_bisection_stops_early(self, sine_target):
+        """Typical inputs reach the fixed point well before step 90."""
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return sine_target.cdf(x)
+
+        u = np.random.default_rng(5).random(256) * 0.5
+        got = processes._bisect_inverse(counted, 0.0, 0.5, u)
+        assert got.tobytes() == _bisect_90_steps(sine_target.cdf, 0.0, 0.5, u).tobytes()
+        assert len(calls) < 90
 
     @pytest.mark.parametrize("params", [
         None,
