@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -365,9 +366,12 @@ def fit_cmd(ctx, sample_path, method, K, b, support, family, N, depth, grid_poin
     if method.startswith("theoretical") and K is None:
         raise click.UsageError(f"method {method} requires --K")
     _check_wavelet({"family": family, "N": N, "depth": depth}, "--{}")
+    lo, hi = support
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"--support must be finite with lo < hi, got {lo} {hi}")
     out_dir = Path(ctx.obj["out"] or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    sample = _read_sample_csv(sample_path, (support[0], support[1]))
+    sample = _read_sample_csv(sample_path, (lo, hi))
     tables = cascade_tables(build_filter(family, N), depth=depth)
     result = make_fit(method, tables, grid_points, K=1.0 if K is None else K, b=b)(sample)
     stem = Path(sample_path).stem

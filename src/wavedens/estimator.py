@@ -46,6 +46,8 @@ class Sample:
         vals = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", vals)
         lo, hi = self.support
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"support must be finite with lo < hi, got [{lo}, {hi}]")
         if vals.size == 0:
             raise ValueError("empty sample")
         if not np.all(np.isfinite(vals)):
@@ -158,23 +160,21 @@ def _synthesize_level(tables: WaveletTables, kind: str, lev: CoefficientLevel,
                       x: np.ndarray) -> np.ndarray:
     """sum_k c_k * (phi|psi)_{j,k}(x) for one coefficient level.
 
-    A tap off the table adds c * 0.0, which leaves out as it is: out starts
-    at +0.0, so it never holds -0.0. Only a level that stores a slice of its
-    translates needs the mask that drops the taps without a coefficient.
+    A level that stores only a slice of its translates is padded with zero
+    coefficients to every translate a tap of x reaches. A zero coefficient or
+    a tap off the table adds +-0.0, which leaves out as it is: out starts at
+    +0.0, so it never holds -0.0.
     """
     poly = tables.polyphase(kind)
     kbase, rho = tables.residues(lev.j, x)
     i0 = kbase - lev.k_min
-    c = lev.values
+    left = max(0, -int(i0.min()))
+    c = np.zeros(left + max(len(lev.values), int(i0.max()) + len(poly)))
+    c[left:left + len(lev.values)] = lev.values
+    i0 += left
     out = np.zeros(len(x))
-    if i0.min() >= 0 and i0.max() + len(poly) <= len(c):
-        for t, row in enumerate(poly):
-            out += c[i0 + t] * row[rho]
-    else:
-        for t, row in enumerate(poly):
-            i = i0 + t
-            inside = (i >= 0) & (i < len(c))
-            out[inside] += c[i[inside]] * row[rho[inside]]
+    for t, row in enumerate(poly):
+        out += c[i0 + t] * row[rho]
     return out * 2.0 ** (lev.j / 2)
 
 

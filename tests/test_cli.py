@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wavedens
@@ -206,6 +207,16 @@ class TestExitCodes:
         assert main(["--out", str(out), command, *args, flag, value]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("lo,hi", [("0", "nan"), ("1", "0"), ("0", "0")])
+    def test_bad_support_maps_to_2(self, tmp_path, capsys, lo, hi):
+        sample = tmp_path / "s.csv"
+        sample.write_text("x\n0.5\n0.6\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "fit", "--sample", str(sample),
+                     "--method", "kernel-rot", "--support", lo, hi]) == 2
+        assert "--support" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_sample_file(self, tmp_path):
         code = main(["--out", str(tmp_path), "fit", "--sample",
                      str(tmp_path / "nope.csv"), "--method", "STCV"])
@@ -348,6 +359,22 @@ class TestBenchmarkCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_sha256"] == payload["config_sha256"]
         assert manifest["outputs"] == sorted(manifest["outputs"])
+
+    @pytest.mark.parametrize("support,means", [((2.0, 3.0), (2.35, 2.65)),
+                                               ((-1.0, 3.0), (0.5, 1.5))])
+    def test_moments_follow_the_support(self, tmp_path, support, means):
+        """The moment interval is the grid's [lo + (hi - lo)/100, hi], so the
+        first moment of a kernel fit holds nearly all its mass."""
+        out = tmp_path / "runs"
+        block = {"case": "iid", "target": "gaussian_mixture",
+                 "target_params": {"means": means, "sds": (0.2, 0.2), "support": support}}
+        path = tiny_config(tmp_path, cases=[block], methods=["STCV", "kernel-rot"],
+                           moments=[1])
+        assert main(["--config", path, "benchmark"]) == 0
+        moments = {r["method"]: r["integrated_moments"]["1"] for r in
+                   json.loads((out / "reports.json").read_text())["reports"]}
+        assert np.isfinite(moments["STCV"])
+        assert moments["kernel-rot"] == pytest.approx(1.0, abs=0.05)
 
     def test_single_replicate_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "runs"

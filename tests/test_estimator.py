@@ -32,6 +32,12 @@ class TestSample:
         with pytest.raises(ValueError, match="finite"):
             Sample(values=np.array([0.2, np.nan]), support=(0.0, 1.0))
 
+    @pytest.mark.parametrize("support", [(0.0, math.nan), (1.0, 0.0), (0.0, 0.0),
+                                         (0.0, math.inf)])
+    def test_rejects_bad_support(self, support):
+        with pytest.raises(ValueError, match="support must be finite with lo < hi"):
+            Sample(values=np.array([0.0]), support=support)
+
     def test_n(self):
         assert Sample(values=np.array([0.1, 0.5, 0.9]), support=(0.0, 1.0)).n == 3
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from wavedens import processes
 from wavedens.processes import (ProcessSpec, build_target, case3_marginal_cdf,
                                 derived_seed, lsv_step, simulate)
 
@@ -38,6 +37,13 @@ def _bisect_90_steps(cdf, lo, hi, u):
         a = np.where(below, mid, a)
         b = np.where(below, b, mid)
     return 0.5 * (a + b)
+
+
+def _inverse_cdf_inputs():
+    """Edge cases, 3-decimal ties and plain draws from [0, 1)."""
+    rng = np.random.default_rng(11)
+    return np.concatenate([[0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5],
+                           np.round(rng.random(400), 3), rng.random(400)])
 
 
 class TestSeeds:
@@ -109,33 +115,30 @@ class TestTargets:
         assert np.all(np.diff(x) >= 0)
         assert np.max(np.abs(target.cdf(x) - u)) < 1e-8
 
+    def test_sine_inverse_matches_the_bisection(self, sine_target):
+        """Newton lands within rounding of the 90-step bisection wherever that
+        bisection is not capped by its step count (u >= 2^-40), maps 0 to 0,
+        and round-trips to the cdf's own rounding."""
+        u = _inverse_cdf_inputs()
+        x = sine_target.inverse_cdf(u)
+        ref = _bisect_90_steps(sine_target.cdf, 0.0, 1.0, u)
+        resolved = u >= 2.0**-40
+        assert np.abs(x - ref)[resolved].max() <= 2.5e-16
+        assert x[u == 0.0].tolist() == [0.0]
+        assert np.abs(sine_target.cdf(x) - u).max() <= 2.3e-16
+
     @pytest.mark.parametrize("kind,params", [
-        ("sine_uniform_mixture", None),
         ("gaussian_mixture", None),
         ("custom", {"density": lambda x: 1.0 + np.asarray(x) ** 2, "support": (-0.5, 2.0)}),
     ])
-    def test_bisection_stop_keeps_the_bytes(self, kind, params, monkeypatch):
-        """Stopping at the bisection's fixed point returns the 90-step bytes."""
+    def test_tabulated_inverse_reverses_the_table(self, kind, params):
+        """Interpolating the cumulative table the other way inverts its cdf."""
         target = build_target(kind, params)
-        rng = np.random.default_rng(11)
-        u = np.concatenate([[0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5],
-                            np.round(rng.random(400), 3), rng.random(400)])
-        got = target.inverse_cdf(u)
-        monkeypatch.setattr(processes, "_bisect_inverse", _bisect_90_steps)
-        assert got.tobytes() == target.inverse_cdf(u).tobytes()
-
-    def test_bisection_stops_early(self, sine_target):
-        """Typical inputs reach the fixed point well before step 90."""
-        calls = []
-
-        def counted(x):
-            calls.append(1)
-            return sine_target.cdf(x)
-
-        u = np.random.default_rng(5).random(256) * 0.5
-        got = processes._bisect_inverse(counted, 0.0, 0.5, u)
-        assert got.tobytes() == _bisect_90_steps(sine_target.cdf, 0.0, 0.5, u).tobytes()
-        assert len(calls) < 90
+        u = np.sort(_inverse_cdf_inputs())
+        x = target.inverse_cdf(u)
+        assert np.all(np.diff(x) >= 0)
+        assert np.abs(target.cdf(x) - u).max() <= 4.4e-16
+        assert np.abs(x - _bisect_90_steps(target.cdf, *target.support, u)).max() <= 1e-12
 
     @pytest.mark.parametrize("params", [
         None,
