@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,9 @@ class KernelConfig:
     def __post_init__(self):
         if self.bandwidth_rule not in _RULES:
             raise ValueError(f"bandwidth_rule must be one of {_RULES}")
-        if self.bandwidth_rule == "fixed" and (self.h is None or self.h <= 0):
-            raise ValueError("fixed bandwidth rule needs h > 0")
+        if self.bandwidth_rule == "fixed" and not (
+                self.h is not None and self.h > 0 and math.isfinite(self.h)):
+            raise ValueError(f"fixed bandwidth rule needs h > 0 and finite, got {self.h}")
 
 
 def rule_of_thumb_bandwidth(sample: Sample) -> float:
@@ -46,14 +48,27 @@ def rule_of_thumb_bandwidth(sample: Sample) -> float:
     return float((q3 - q1) / (2 * 0.6745) * (4.0 / (3.0 * sample.n)) ** 0.2)
 
 
-def _epanechnikov(u: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+def _epanechnikov(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.75 (1 - u^2) where |u| <= 1, else +0.0; out may be u itself.
+
+    For finite u, u*u > 1 exactly when |u| > 1, so clipping 0.75 (1 - u*u)
+    at 0 gives the same bits as testing |u| and every zero is +0.0.
+    """
+    out = np.square(u, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= 0.75
+    return np.maximum(out, 0.0, out=out)
+
+
+# (K * K)(a) = sum of c a^k over the items (k, c), for a = |t| <= 2: the
+# expansion of 3/160 (2 - a)^3 (a^2 + 6a + 4)
+_SELFCONV = {0: 0.6, 2: -0.75, 3: 0.375, 5: -0.01875}
 
 
 def _epanechnikov_selfconv(t: np.ndarray) -> np.ndarray:
     """(K * K)(t) for the Epanechnikov kernel, supported on [-2, 2]."""
     a = np.abs(t)
-    val = 3.0 / 160.0 * (2.0 - a) ** 3 * (a * a + 6.0 * a + 4.0)
+    val = sum(c * a**k for k, c in _SELFCONV.items())
     return np.where(a <= 2.0, val, 0.0)
 
 
@@ -71,61 +86,88 @@ def kernel_estimate(sample: Sample, config: KernelConfig = KernelConfig()) -> De
     grid = np.linspace(*sample.support, config.grid_points)
     values = np.empty(len(grid))
     x = sample.values
-    # about 2^16 kernel values per block, so the temporaries stay in cache;
-    # each grid row is still one sum over the whole sample
+    # about 2^16 kernel values per block, evaluated in place in one buffer so
+    # they stay in cache; each grid row is still one sum over the whole sample
     chunk = max(1, 2**16 // max(1, sample.n))
+    buf = np.empty((min(chunk, len(grid)), sample.n))
     for start in range(0, len(grid), chunk):
         g = grid[start:start + chunk]
-        values[start:start + chunk] = _epanechnikov(
-            (g[:, None] - x[None, :]) / h
-        ).sum(axis=1)
+        u = np.subtract(g[:, None], x, out=buf[:len(g)])
+        u /= h
+        values[start:start + chunk] = _epanechnikov(u, out=u).sum(axis=1)
     values /= sample.n * h
     return DensityEstimate(grid=grid, values=values, meta=f"{label} h={h:.6g} n={sample.n}")
 
 
-def _lscv_scores(sample: Sample, hs: np.ndarray) -> list[float]:
-    """LSCV scores at the ascending bandwidths hs, from one list of pairs.
+def _prefix_sums(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """p[:c].sum() for each c in counts, in counts' shape.
 
-    The pairs i < j of the sorted sample with xs[j] <= xs[i] + 2 max(hs) are
-    built once, row by row. Going down the grid, each h keeps the pairs with
-    xs[j] <= xs[i] + 2h, so every score sums the same distances in the same
-    order as a list built for that h alone.
+    Each whole 4096-value block of p is summed pairwise and the block sums are
+    chained; the partial block is summed on its own. So each value depends on
+    p[:c] alone, never on the other counts or on what follows in p, and its
+    error stays near the pairwise sum's rather than a running sum's.
+    """
+    block = 4096
+    whole = p[:len(p) // block * block].reshape(-1, block).sum(axis=1)
+    chained = np.concatenate(([0.0], np.cumsum(whole)))
+    return np.reshape([chained[c // block] + p[c // block * block:c].sum()
+                       for c in counts.ravel()], counts.shape)
+
+
+def _over_h(sums: np.ndarray, hs: np.ndarray, k: int) -> np.ndarray:
+    """sums / h^k, by k divisions, so no power of h under- or overflows."""
+    for _ in range(k):
+        sums = sums / hs
+    return sums
+
+
+def _lscv_scores(sample: Sample, hs: np.ndarray) -> list[float]:
+    """LSCV scores at the ascending bandwidths hs, from one sorted list of
+    pair distances.
+
+    With a = d/h, (K * K)(a) is a polynomial in a (_SELFCONV) and K(a) is
+    0.75 (1 - a^2), so a score needs only the count and the sums of d^2, d^3
+    and d^5 over the pairs with d <= 2h, and the same for d^2 over d <= h.
+    On the sorted distances these are prefix sums, read at the index
+    searchsorted gives for 2h (and h). Neither the list nor a prefix sum
+    depends on the other bandwidths: the list holds every pair within
+    2 max(hs), plus a slack far above the rounding of xs + reach, so each
+    score equals lscv_score's bit for bit.
     """
     if sample.n < 2:
         raise ValueError("leave-one-out score needs n >= 2")
     n = sample.n
     xs = np.sort(sample.values)
-    upper = np.searchsorted(xs, xs + 2.0 * hs[-1], side="right")
-    lo = np.repeat(xs, upper - np.arange(1, n + 1))
-    hi = np.concatenate([xs[i + 1:u] for i, u in enumerate(upper)])
-    buf = np.empty(len(lo))
-    scores = []
-    for h in hs[::-1]:
-        if h < hs[-1]:
-            keep = hi <= lo + 2.0 * h
-            lo, hi = lo[keep], hi[keep]
-        d = hi - lo
-        kk = buf[:len(d)]
-        # 2^16 values per block, so the temporaries stay in cache; the sum
-        # still runs once over the whole pair list
-        for start in range(0, len(d), 2**16):
-            kk[start:start + 2**16] = _epanechnikov_selfconv(d[start:start + 2**16] / h)
-        sum_kk = kk.sum()
-        sum_k = _epanechnikov(d[d <= h] / h).sum()
-        sq_norm = (0.6 * n + 2.0 * sum_kk) / (n * n * h)
-        loo = 2.0 * sum_k / ((n - 1) * h)
-        scores.append(float(sq_norm - 2.0 * loo / n))
-    return scores[::-1]
+    top = 2.0 * hs[-1]
+    reach = top + 1e-9 * (top + max(-xs[0], xs[-1]))
+    upper = np.searchsorted(xs, xs + reach, side="right")
+    d = np.concatenate([xs[i + 1:u] - xs[i] for i, u in enumerate(upper)])
+    d.sort()
+    within = np.searchsorted(d, 2.0 * hs, side="right")  # pairs with d <= 2h
+    near = np.searchsorted(d, hs, side="right")  # pairs with d <= h
+    power = d * d
+    s2_within, s2_near = _prefix_sums(power, np.stack((within, near)))
+    sum_k = 0.75 * (near - _over_h(s2_near, hs, 2))
+    sum_kk = _SELFCONV[0] * within + _SELFCONV[2] * _over_h(s2_within, hs, 2)
+    power *= d
+    sum_kk += _SELFCONV[3] * _over_h(_prefix_sums(power, within), hs, 3)
+    power *= d
+    power *= d
+    sum_kk += _SELFCONV[5] * _over_h(_prefix_sums(power, within), hs, 5)
+    sq_norm = (_SELFCONV[0] * n + 2.0 * sum_kk) / (n * n * hs)
+    loo = 2.0 * sum_k / ((n - 1) * hs)
+    return (sq_norm - 2.0 * loo / n).tolist()
 
 
 def lscv_score(sample: Sample, h: float) -> float:
     """Least-squares CV score: integral of f_h^2 minus (2/n) sum_i f_{h,-i}(X_i).
 
-    Both terms are evaluated in closed form through pairwise distances; the
-    squared-norm term uses the polynomial self-convolution of the kernel.
+    Both terms are closed forms in the pairwise distances d: the squared norm
+    sums the kernel's polynomial self-convolution over the pairs with
+    d <= 2h, the leave-one-out term sums K(d/h) over those with d <= h.
     """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
     return _lscv_scores(sample, np.array([float(h)]))[0]
 
 

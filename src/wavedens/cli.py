@@ -93,6 +93,10 @@ class ExperimentConfig:
             raise ConfigError("grid_points must be >= 64")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        for name in ("K", "b"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         self.decay_settings  # resolve and check the decay block at load
 
     def to_dict(self) -> dict:
@@ -125,6 +129,21 @@ class ExperimentConfig:
                 raise ConfigError(f"decay.{key} is invalid: {d[key]!r} (need integers j >= 0, "
                                   "k, n >= 8, max_lag in [1, n/4] and alphas in (0, 1))")
         return d
+
+    def check_schedules(self) -> None:
+        """Build the theoretical schedule at every n if a theoretical method is listed.
+
+        It depends on (n, N, b, K) alone, so each config command runs this
+        before any output; load_config does not, so any config still hashes.
+        """
+        if not any(m.startswith("theoretical") for m in self.methods):
+            return
+        for n in self.n:
+            try:
+                theoretical_plan(n, self.wavelet["N"], b=self.b, K=self.K)
+            except ValueError as exc:
+                raise ConfigError(f"theoretical schedule at n={n}, b={self.b}, "
+                                  f"K={self.K}: {exc}") from exc
 
     def tables(self) -> WaveletTables:
         w = self.wavelet
@@ -312,8 +331,10 @@ def _need_config(ctx) -> ExperimentConfig:
     opts = ctx.obj
     if opts["config"] is None:
         raise click.UsageError("this command needs --config PATH")
-    return load_config(opts["config"], seed=opts["seed"], out=opts["out"],
-                       threads=opts["threads"])
+    cfg = load_config(opts["config"], seed=opts["seed"], out=opts["out"],
+                      threads=opts["threads"])
+    cfg.check_schedules()
+    return cfg
 
 
 def _case_labels(cases: tuple[dict, ...]) -> list[str]:
@@ -363,8 +384,12 @@ def simulate_cmd(ctx):
 @click.pass_context
 def fit_cmd(ctx, sample_path, method, K, b, support, family, N, depth, grid_points):
     """Fit one method to one sample file; write estimate CSV (+ selection JSON)."""
-    if method.startswith("theoretical") and K is None:
-        raise click.UsageError(f"method {method} requires --K")
+    if method.startswith("theoretical"):
+        if K is None:
+            raise click.UsageError(f"method {method} requires --K")
+        for name, value in (("--K", K), ("--b", b)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
     _check_wavelet({"family": family, "N": N, "depth": depth}, "--{}")
     lo, hi = support
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):

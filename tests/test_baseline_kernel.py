@@ -10,7 +10,7 @@ from wavedens.baseline_kernel import (KernelConfig, cv_bandwidth,
 from wavedens.baseline_kernel import (_epanechnikov, _epanechnikov_selfconv,
                                       _lscv_scores)
 from wavedens.estimator import Sample
-from wavedens.processes import ProcessSpec, simulate
+from wavedens.processes import ProcessSpec, build_target, simulate
 
 
 def _epa(u):
@@ -127,6 +127,81 @@ class TestLscvScore:
             lscv_score(s2, 0.0)
 
 
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_bandwidth(self, h):
+        s = Sample(values=np.array([0.2, 0.5, 0.8]), support=(0.0, 1.0))
+        with pytest.raises(ValueError, match="positive and finite"):
+            lscv_score(s, h)
+
+
+def _reference_lscv_scores(sample, hs):
+    """The per-pair scoring the prefix sums replaced: every h evaluates the
+    factored self-convolution 3/160 (2 - a)^3 (a^2 + 6a + 4) on each pair."""
+    def selfconv(t):
+        a = np.abs(t)
+        return np.where(a <= 2.0, 3.0 / 160.0 * (2.0 - a) ** 3 * (a * a + 6.0 * a + 4.0), 0.0)
+
+    n = sample.n
+    xs = np.sort(sample.values)
+    upper = np.searchsorted(xs, xs + 2.0 * hs[-1], side="right")
+    lo = np.repeat(xs, upper - np.arange(1, n + 1))
+    hi = np.concatenate([xs[i + 1:u] for i, u in enumerate(upper)])
+    scores = []
+    for h in hs[::-1]:
+        if h < hs[-1]:
+            keep = hi <= lo + 2.0 * h
+            lo, hi = lo[keep], hi[keep]
+        d = hi - lo
+        sum_kk = selfconv(d / h).sum()
+        sum_k = _epa(d[d <= h] / h).sum()
+        sq_norm = (0.6 * n + 2.0 * sum_kk) / (n * n * h)
+        loo = 2.0 * sum_k / ((n - 1) * h)
+        scores.append(float(sq_norm - 2.0 * loo / n))
+    return scores[::-1]
+
+
+class TestLscvPrefixSums:
+    def test_matches_the_per_pair_scores(self, rng):
+        """The prefix-sum scores stay within 1e-11 relative of the per-pair
+        ones and pick the same bandwidth, at n = 1024 on three regimes and on
+        samples rounded to 2 and 3 decimals (ties, zero distances, pairs 2h
+        apart); lscv_score reads the same bits at n = 1024, where the
+        prefix sums span several whole 4096-value blocks."""
+        def check(s, grid):
+            want = _reference_lscv_scores(s, grid)
+            got = _lscv_scores(s, grid)
+            assert np.all(np.isfinite(got))
+            assert_allclose(got, want, rtol=1e-11, atol=0.0)
+            assert cv_bandwidth(s, grid) == grid[int(np.argmin(want))]
+            for i in (0, 17, 39):
+                assert lscv_score(s, float(grid[i])) == got[i]
+
+        def default_grid(s):
+            h_rot = rule_of_thumb_bandwidth(s)
+            return np.geomspace(h_rot / 10.0, 3.0 * h_rot, 40)
+
+        target = build_target("sine_uniform_mixture")
+        for seed in (1, 2, 3):
+            for s in (simulate(ProcessSpec(case="iid", n=1024, seed=seed, target=target)),
+                      simulate(ProcessSpec(case="logistic_map", n=1024, seed=seed,
+                                           target=target)),
+                      simulate(ProcessSpec(case="lsv", n=1024, seed=seed, lsv_alpha=0.5))):
+                check(s, default_grid(s))
+        for decimals in (2, 2, 3):
+            s = Sample(values=np.round(rng.random(1024), decimals), support=(0.0, 1.0))
+            check(s, default_grid(s))
+            check(s, 0.005 * np.arange(1, 41))
+
+    def test_extreme_bandwidths(self, rng):
+        """A bandwidth far below every distance and one far above the support."""
+        s = _sample(rng, 1024)
+        for h in (1e-9, 1e3):
+            got = lscv_score(s, h)
+            assert np.isfinite(got)
+            assert got == pytest.approx(_reference_lscv_scores(s, np.array([h]))[0],
+                                        rel=1e-11, abs=0.0)
+
+
 class TestCvBandwidth:
     def test_achieves_the_grid_minimum(self, rng):
         """The scores cv_bandwidth takes from its one pair list are
@@ -185,6 +260,29 @@ class TestKernelEstimate:
             dense = _epa((est.grid[:, None] - s.values[None, :]) / 0.05).sum(axis=1)
             assert np.array_equal(est.values, dense / (n * 0.05))
 
+    def test_in_place_kernel_matches_the_dense_formula_at_its_edge(self, rng):
+        """Dyadic points with h = 0.25 put some g - x at exactly +-h (|u| = 1),
+        where the clipped polynomial meets the zero branch; and the
+        benchmark's size, n = 1024 on 4096 points at h_rot. The estimate
+        equals the dense np.where rows bit for bit, with no -0.0 anywhere."""
+        def dense_rows(est, x, h):
+            rows = [_epa((est.grid[a:a + 256, None] - x[None, :]) / h).sum(axis=1)
+                    for a in range(0, len(est.grid), 256)]
+            return np.concatenate(rows) / (len(x) * h)
+
+        dyadic = Sample(values=rng.integers(0, 65, 300) / 64.0, support=(0.0, 1.0))
+        u = (np.linspace(0.0, 1.0, 129)[:, None] - dyadic.values[None, :]) / 0.25
+        assert np.any(np.abs(u) == 1.0)
+        k = _epanechnikov(u)
+        assert np.array_equal(k, _epa(u)) and not np.any(np.signbit(k))
+        wide = _sample(rng, 1024)
+        for s, h, points in ((dyadic, 0.25, 129),
+                             (wide, rule_of_thumb_bandwidth(wide), 4096)):
+            est = kernel_estimate(s, KernelConfig(bandwidth_rule="fixed", h=h,
+                                                  grid_points=points))
+            assert np.array_equal(est.values, dense_rows(est, s.values, h))
+            assert not np.any(np.signbit(est.values))
+
     def test_grid_spans_support(self, rng):
         s = _sample(rng, 20)
         est = kernel_estimate(s, KernelConfig(grid_points=64))
@@ -222,3 +320,8 @@ class TestKernelConfig:
             KernelConfig(bandwidth_rule="fixed")
         with pytest.raises(ValueError, match="needs h"):
             KernelConfig(bandwidth_rule="fixed", h=0.0)
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf")])
+    def test_fixed_h_must_be_finite(self, h):
+        with pytest.raises(ValueError, match="needs h > 0 and finite"):
+            KernelConfig(bandwidth_rule="fixed", h=h)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,10 @@ class TestLoadConfig:
         ("decay", {"j": "x"}, "decay.j is invalid"),
         ("decay", {"n": 64, "max_lag": 17}, "decay.max_lag is invalid"),
         ("decay", {"alphas": [1.5]}, "decay.alphas is invalid"),
+        ("K", 0.0, "K must be positive"),
+        ("K", float("inf"), "K must be positive"),
+        ("b", -1.0, "b must be positive"),
+        ("b", float("nan"), "b must be positive"),
     ])
     def test_field_validation(self, tmp_path, field, value, hint):
         out = tmp_path / "runs"
@@ -111,6 +116,24 @@ class TestLoadConfig:
             load_config(path)
         for command in ("simulate", "benchmark", "diagnose-decay"):
             assert main(["--config", path, command]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides,hint", [
+        (dict(methods=["STCV", "theoretical-hard"]), r"n=64, b=1\.0, K=1\.0: degenerate"),
+        (dict(methods=["theoretical-soft"], n=[64, 4096], b=100.0, K=0.5),
+         r"n=64, b=100\.0, K=0\.5: degenerate"),
+    ])
+    def test_degenerate_schedule_exits_before_output(self, tmp_path, capsys,
+                                                     overrides, hint):
+        """The theoretical schedule is a function of (n, N, b, K), so a
+        degenerate one stops every config command before it writes or fits
+        anything; load_config alone still accepts the config."""
+        out = tmp_path / "runs"
+        path = tiny_config(tmp_path, out=str(out), **overrides)
+        load_config(path).sha256()
+        for command in ("simulate", "benchmark", "diagnose-decay"):
+            assert main(["--config", path, command]) == 2
+            assert re.search(hint, capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("block,hint", [
@@ -215,6 +238,20 @@ class TestExitCodes:
         assert main(["--out", str(out), "fit", "--sample", str(sample),
                      "--method", "kernel-rot", "--support", lo, hi]) == 2
         assert "--support" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--K", "0"), ("--K", "nan"), ("--b", "-1"),
+                                            ("--b", "inf")])
+    def test_bad_theoretical_constant_maps_to_2(self, tmp_path, capsys, flag, value):
+        """A bad K or b is refused before the output directory exists; before,
+        --K nan fitted and wrote an estimate, and --K 0 exited 3."""
+        sample = tmp_path / "s.csv"
+        sample.write_text("x\n0.5\n0.6\n")
+        out = tmp_path / "out"
+        args = {"--K": "1.0", "--b": "1.0", flag: value}
+        assert main(["--out", str(out), "fit", "--sample", str(sample),
+                     "--method", "theoretical-soft", *itertools.chain(*args.items())]) == 2
+        assert f"{flag} must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_sample_file(self, tmp_path):
