@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+import typing
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -39,7 +40,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: sampling regimes x methods x sample sizes."""
+    """One experiment: sampling regimes x methods x sample sizes.
+
+    The annotations are the config's JSON types, which load_config enforces.
+    """
 
     experiment: str
     cases: tuple[dict, ...]
@@ -162,21 +166,28 @@ class ExperimentConfig:
 _WAVELET_DEFAULTS = {"family": "symmlet", "N": 8, "depth": 10}
 _CASE_KEYS = {"case", "target", "target_params", "lsv_alpha", "ar_depth"}
 _DECAY_KEYS = {"j", "k", "n", "max_lag", "alphas"}
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
-# How load_config coerces each JSON value; defaults come from ExperimentConfig.
-_COERCE = {
-    "cases": tuple, "methods": tuple, "out": str, "wavelet": dict, "decay": dict,
-    "M": int, "seed": int, "grid_points": int, "threads": int, "K": float, "b": float,
-    "n": lambda v: tuple(int(x) for x in v), "p": lambda v: tuple(float(x) for x in v),
-    "moments": lambda v: tuple(int(x) for x in v),
-}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _typed(label: str, value, kind):
+    """A JSON value as the annotated type: a list becomes a tuple element by
+    element and an int widens to a float; any other mismatch names the label."""
+    if typing.get_origin(kind) is tuple:
+        if type(value) is not list:
+            raise ConfigError(f"{label} must be list, got {value!r}")
+        return tuple(_typed(f"{label}[{i}]", v, typing.get_args(kind)[0])
+                     for i, v in enumerate(value))
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{label} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def _check_wavelet(w: dict, name: str) -> None:
     """Reject a bad wavelet before any table is built; name formats a key's label."""
-    for key, kind in (("family", str), ("N", int), ("depth", int)):
-        if type(w[key]) is not kind:
-            raise ConfigError(f"{name.format(key)} must be {kind.__name__}, got {w[key]!r}")
+    for key, default in _WAVELET_DEFAULTS.items():
+        _typed(name.format(key), w[key], type(default))
     try:
         build_filter(w["family"], w["N"])
     except ValueError as exc:
@@ -185,14 +196,14 @@ def _check_wavelet(w: dict, name: str) -> None:
         raise ConfigError(f"{name.format('depth')} must be >= 4, got {w['depth']}")
 
 
-def load_config(path: str, seed: int | None = None, out: str | None = None,
-                threads: int | None = None) -> ExperimentConfig:
-    """Parse and validate a JSON config, applying CLI/env overrides.
+def load_config(path: str, seed: int | None = None,
+                out: str | None = None) -> ExperimentConfig:
+    """Parse and validate a JSON config, applying the CLI overrides.
 
-    --seed/--out/--threads replace the config values before validation.
-    A seed override changes the config hash; out and threads are excluded
-    from it. `threads` is still checked (>= 1) but ignored: replicates run
-    in order on one thread.
+    --seed/--out replace the config values before validation. A seed
+    override changes the config hash; out is excluded from it, as is
+    `threads`, which is still checked (>= 1) but ignored: replicates run in
+    order on one thread.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -202,22 +213,15 @@ def load_config(path: str, seed: int | None = None, out: str | None = None,
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    bad = set(raw) - _CONFIG_KEYS
+    bad = set(raw) - set(_FIELD_TYPES)
     if bad:
         raise ConfigError(f"unknown config keys {sorted(bad)}")
     if seed is not None:
         raw["seed"] = seed
     if out is not None:
         raw["out"] = out
-    if threads is not None:
-        raw["threads"] = threads
-    try:
-        kwargs = {k: _COERCE.get(k, lambda v: v)(v) for k, v in raw.items()}
-        return ExperimentConfig(**{"experiment": "", "cases": (), **kwargs})
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid config value: {exc}") from exc
+    kwargs = {k: _typed(k, v, _FIELD_TYPES[k]) for k, v in raw.items()}
+    return ExperimentConfig(**{"experiment": "", "cases": (), **kwargs})
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +237,7 @@ def _theoretical_fit(sample, tables, mode, grid_points, K, b):
     plan = theoretical_plan(sample.n, tables.vanishing_moments, b=b, K=K, mode=mode)
     coeffs = apply_plan(empirical_coefficients(sample, tables, plan.j0, plan.j1), plan)
     meta = f"theoretical-{mode} j0={plan.j0} j1={plan.j1} n={sample.n} K={K}"
-    fractions = {lev.j: float(lev.killed.mean()) for lev in coeffs.details}
+    fractions = {lev.j: float(np.mean(lev.values == 0.0)) for lev in coeffs.details}
     return Fit(reconstruct(coeffs, tables, grid_points, meta=meta), j1=plan.j1,
                lambdas=plan.lambdas, killed_fraction=fractions)
 
@@ -280,7 +284,7 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, command: str,
     }
     if extra:
         manifest.update(extra)
-    (out_dir / "manifest.json").write_text(_dumps(manifest))
+    _write(out_dir / "manifest.json", _dumps(manifest), [])
 
 
 def _csv(rows: list[dict], columns: list[str]) -> str:
@@ -319,20 +323,17 @@ def _read_sample_csv(path: str, support: tuple[float, float]) -> Sample:
               help="JSON experiment config.")
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
 @click.option("--out", type=click.Path(), default=None, help="Override the output directory.")
-@click.option("--threads", type=int, default=None,
-              help="Accepted for compatibility and ignored (must be >= 1).")
 @click.pass_context
-def cli(ctx, config_path, seed, out, threads):
+def cli(ctx, config_path, seed, out):
     """Wavelet density estimation experiments for dependent samples."""
-    ctx.obj = {"config": config_path, "seed": seed, "out": out, "threads": threads}
+    ctx.obj = {"config": config_path, "seed": seed, "out": out}
 
 
 def _need_config(ctx) -> ExperimentConfig:
     opts = ctx.obj
     if opts["config"] is None:
         raise click.UsageError("this command needs --config PATH")
-    cfg = load_config(opts["config"], seed=opts["seed"], out=opts["out"],
-                      threads=opts["threads"])
+    cfg = load_config(opts["config"], seed=opts["seed"], out=opts["out"])
     cfg.check_schedules()
     return cfg
 
@@ -350,7 +351,6 @@ def simulate_cmd(ctx):
     """Write one sample CSV per (case, n, replicate) plus a seed manifest."""
     cfg = _need_config(ctx)
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list = []
     seeds = {}
     for block, label in zip(cfg.cases, _case_labels(cfg.cases)):
@@ -395,7 +395,6 @@ def fit_cmd(ctx, sample_path, method, K, b, support, family, N, depth, grid_poin
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ConfigError(f"--support must be finite with lo < hi, got {lo} {hi}")
     out_dir = Path(ctx.obj["out"] or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     sample = _read_sample_csv(sample_path, (lo, hi))
     tables = cascade_tables(build_filter(family, N), depth=depth)
     result = make_fit(method, tables, grid_points, K=1.0 if K is None else K, b=b)(sample)
@@ -419,7 +418,6 @@ def benchmark(ctx):
     if cfg.M < 2:
         raise ConfigError(f"benchmark needs M >= 2 replicates, got M={cfg.M}")
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tables = cfg.tables()
     reports = []
     for block in cfg.cases:
@@ -478,7 +476,6 @@ def diagnose_decay(ctx):
     """Covariance-decay profiles: LSV over an alpha grid, other cases as controls."""
     cfg = _need_config(ctx)
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     j, k, n, max_lag = (cfg.decay_settings[key] for key in ("j", "k", "n", "max_lag"))
     tables = cfg.tables()
     outputs: list = []
@@ -529,7 +526,6 @@ def tables_cmd(ctx, family, N, depth):
     """Dump the sampled scaling/wavelet tables as CSV."""
     _check_wavelet({"family": family, "N": N, "depth": depth}, "--{}")
     out_dir = Path(ctx.obj["out"] or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     tables = cascade_tables(build_filter(family, N), depth=depth)
     rows = []
     for kind, values in (("phi", tables.phi_values), ("psi", tables.psi_values)):
@@ -537,7 +533,7 @@ def tables_cmd(ctx, family, N, depth):
         rows += [{"kind": kind, "t": float(t), "value": float(v)}
                  for t, v in zip(grid, values)]
     name = f"{family}{N}_depth{depth}.csv"
-    (out_dir / name).write_text(_csv(rows, ["kind", "t", "value"]))
+    _write(out_dir / name, _csv(rows, ["kind", "t", "value"]), [])
     click.echo(f"wrote {name} to {out_dir}")
 
 

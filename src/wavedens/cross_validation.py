@@ -136,8 +136,8 @@ def cv_criterion(sample: Sample, tables: WaveletTables, j: int, lam: float,
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if lam < 0:
-        raise ValueError(f"negative threshold {lam}")
+    if not (lam >= 0 and math.isfinite(lam)):
+        raise ValueError(f"negative or non-finite threshold {lam}")
     _, beta, bracket = _level_stats(sample, tables, j)
     a, b = _by_magnitude(beta, bracket)
     return float(_level_criterion(a, b, np.array([float(lam)]), mode)[0])
@@ -261,7 +261,7 @@ def fit_cv(sample: Sample, tables: WaveletTables, mode: str = "HTCV",
         j1=j1_hat,
     )
     thresholded = apply_plan(coeffs, plan)
-    killed = {lev.j: float(lev.killed.mean()) for lev in thresholded.details}
+    killed = {lev.j: float(np.mean(lev.values == 0.0)) for lev in thresholded.details}
     killed.update((j, 1.0) for j in range(j1_hat + 1, j_star + 1))
     selection = CvSelection(
         mode=mode,

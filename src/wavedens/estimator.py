@@ -48,6 +48,8 @@ class Sample:
         lo, hi = self.support
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"support must be finite with lo < hi, got [{lo}, {hi}]")
+        if vals.ndim != 1:
+            raise ValueError(f"sample values must be 1-D, got shape {vals.shape}")
         if vals.size == 0:
             raise ValueError("empty sample")
         if not np.all(np.isfinite(vals)):
@@ -70,7 +72,6 @@ class CoefficientLevel:
     j: int
     k_min: int
     values: np.ndarray
-    killed: np.ndarray | None = None  # set by apply_plan
 
     def k_values(self) -> np.ndarray:
         return self.k_min + np.arange(len(self.values))
@@ -116,8 +117,8 @@ class ThresholdPlan:
             raise ValueError(f"threshold mode must be hard or soft, got {self.mode!r}")
         if self.j1 < self.j0:
             raise ValueError(f"plan has j1={self.j1} < j0={self.j0}")
-        if any(lam < 0 for lam in self.lambdas.values()):
-            raise ValueError("negative threshold in plan")
+        if not all(lam >= 0 and math.isfinite(lam) for lam in self.lambdas.values()):
+            raise ValueError(f"negative or non-finite threshold in plan: {self.lambdas}")
 
 
 @dataclass(frozen=True)
@@ -234,8 +235,8 @@ def theoretical_plan(n: int, N: int, b: float, K: float = 1.0,
     """
     if n < 8:
         raise ValueError(f"n must be at least 8, got {n}")
-    if N < 1 or b <= 0 or K <= 0:
-        raise ValueError(f"need N >= 1, b > 0, K > 0, got N={N}, b={b}, K={K}")
+    if N < 1 or not (b > 0 and math.isfinite(b)) or not (K > 0 and math.isfinite(K)):
+        raise ValueError(f"need N >= 1 and finite b > 0, K > 0, got N={N}, b={b}, K={K}")
     j0 = math.floor(math.log(n) / (1 + N)) + 1
     w = (math.log(n) + (-2.0 / b - 3.0) * math.log(math.log(n))) / math.log(2.0)
     j1 = math.ceil(w) - 1
@@ -258,8 +259,7 @@ def apply_plan(coeffs: CoefficientSet, plan: ThresholdPlan) -> CoefficientSet:
             vals = np.zeros_like(lev.values)
         else:
             vals = gamma(lev.values, plan.lambdas.get(lev.j, 0.0))
-        killed = (vals == 0.0)
-        new_details.append(replace(lev, values=vals, killed=killed))
+        new_details.append(replace(lev, values=vals))
     return replace(coeffs, details=tuple(new_details))
 
 

@@ -1,6 +1,7 @@
 """Command line: config validation, artifacts, determinism, exit codes."""
 
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -64,8 +65,8 @@ class TestLoadConfig:
 
     def test_overrides_beat_file_values(self, tmp_path):
         path = write_config(tmp_path, seed=5, out="a", threads=2)
-        cfg = load_config(path, seed=9, out="b", threads=4)
-        assert (cfg.seed, cfg.out, cfg.threads) == (9, "b", 4)
+        cfg = load_config(path, seed=9, out="b")
+        assert (cfg.seed, cfg.out, cfg.threads) == (9, "b", 2)
 
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -108,10 +109,19 @@ class TestLoadConfig:
         ("K", float("inf"), "K must be positive"),
         ("b", -1.0, "b must be positive"),
         ("b", float("nan"), "b must be positive"),
+        # a value of the wrong JSON type is refused, never rounded or converted
+        ("M", 2.9, "M must be int"),
+        ("M", True, "M must be int"),
+        ("n", [1024.7], r"n\[0\] must be int"),
+        ("seed", "5", "seed must be int"),
+        ("K", "2", "K must be float"),
+        ("b", True, "b must be float"),
+        ("out", 5, "out must be str"),
+        ("wavelet", [["N", 4]], "wavelet must be dict"),
     ])
     def test_field_validation(self, tmp_path, field, value, hint):
         out = tmp_path / "runs"
-        path = write_config(tmp_path, out=str(out), **{field: value})
+        path = write_config(tmp_path, **{"out": str(out), field: value})
         with pytest.raises(ConfigError, match=hint):
             load_config(path)
         for command in ("simulate", "benchmark", "diagnose-decay"):
@@ -154,6 +164,16 @@ class TestLoadConfig:
             load_config(path)
         assert main(["--config", path, "simulate"]) == 2
 
+    def test_benchmark_configs_load(self, tmp_path, monkeypatch):
+        """The benchmark writes its own configs, "threads" included; the schema
+        must accept every one of them."""
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        for name, workload in workloads.WORKLOADS.items():
+            raw = workload.config(workloads.REFERENCE_SEED, tmp_path / name)
+            cfg = load_config(write_config(tmp_path, **raw))
+            assert (cfg.experiment, cfg.threads) == (raw["experiment"], raw["threads"])
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -182,8 +202,8 @@ class TestLoadConfig:
         assert load_config(write_config(tmp_path, **overrides)).sha256() == digest
 
     def test_hash_ignores_out_and_threads(self, tmp_path):
-        a = load_config(write_config(tmp_path), out="x", threads=1)
-        b = load_config(write_config(tmp_path), out="y", threads=8)
+        a = load_config(write_config(tmp_path, threads=1), out="x")
+        b = load_config(write_config(tmp_path, threads=8), out="y")
         assert a.sha256() == b.sha256()
         c = load_config(write_config(tmp_path), seed=99)
         assert c.sha256() != a.sha256()
@@ -262,21 +282,25 @@ class TestExitCodes:
     def test_malformed_sample_maps_to_3(self, tmp_path, capsys):
         sample = tmp_path / "bad.csv"
         sample.write_text("x\n0.5\nbanana\n0.7\n")
-        code = main(["--out", str(tmp_path), "fit", "--sample", str(sample),
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "fit", "--sample", str(sample),
                      "--method", "kernel-rot"])
         assert code == 3
         err = capsys.readouterr().err
         assert "bad.csv:3" in err and "banana" in err
+        assert not out.exists()
 
     def test_degenerate_schedule_maps_to_3(self, tmp_path, capsys):
         """The theoretical schedule needs large n; at n = 20 it must refuse
         rather than fit something."""
         sample = tmp_path / "s.csv"
         sample.write_text("x\n" + "\n".join(f"0.{i:02d}" for i in range(5, 95, 4)) + "\n")
-        code = main(["--out", str(tmp_path), "fit", "--sample", str(sample),
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "fit", "--sample", str(sample),
                      "--method", "theoretical-hard", "--K", "1.0"])
         assert code == 3
         assert "degenerate schedule" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():
@@ -429,8 +453,9 @@ class TestBenchmarkCommand:
     def test_threads_do_not_change_bytes(self, tmp_path):
         path_a = tiny_config(tmp_path, out=str(tmp_path / "a"))
         assert main(["--config", path_a, "benchmark"]) == 0
-        path_b = tiny_config(tmp_path, out=str(tmp_path / "b"))
-        assert main(["--config", path_b, "--threads", "4", "benchmark"]) == 0
+        path_b = tiny_config(tmp_path, out=str(tmp_path / "b"), threads=4)
+        assert main(["--config", path_b, "--threads", "4", "benchmark"]) == 2
+        assert main(["--config", path_b, "benchmark"]) == 0
         assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
 
 

@@ -133,6 +133,14 @@ class TestCriterion:
         with pytest.raises(ValueError, match="negative"):
             cv_criterion(s, haar_tables, 1, -0.1, "HTCV")
 
+    @pytest.mark.parametrize("mode", ["HTCV", "STCV"])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_rejects_non_finite_lambda(self, haar_tables, mode, lam):
+        """nan used to score as the empty set (0.0) and STCV at inf as nan."""
+        s = Sample(values=np.array([0.2, 0.8]), support=(0.0, 1.0))
+        with pytest.raises(ValueError, match="non-finite threshold"):
+            cv_criterion(s, haar_tables, 1, lam, mode)
+
 
 class TestSelectLambda:
     @pytest.mark.parametrize("mode", ["HTCV", "STCV"])
