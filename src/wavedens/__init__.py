@@ -43,6 +43,7 @@ from .risk_metrics import (
     DecayProfile,
     lp_distance,
     monte_carlo_risk,
+    monte_carlo_risks,
     integrated_moments,
     covariance_decay,
 )

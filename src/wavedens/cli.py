@@ -24,7 +24,7 @@ from .cross_validation import fit_cv
 from .estimator import (Sample, apply_plan, empirical_coefficients,
                         reconstruct, theoretical_plan)
 from .processes import ProcessSpec, build_target, derived_seed, simulate
-from .risk_metrics import Fit, covariance_decay, monte_carlo_risk
+from .risk_metrics import Fit, covariance_decay, monte_carlo_risks
 from .wavelet_basis import WaveletTables, build_filter, cascade_tables
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "main"]
@@ -69,6 +69,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}, expected one of {METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods must not repeat, got {list(self.methods)}")
         if not self.n or any(v < 8 for v in self.n):
             raise ConfigError(f"n values must be >= 8, got {self.n}")
         for block in self.cases:
@@ -249,7 +251,7 @@ def _kernel_fit(sample, rule, grid_points):
 
 def make_fit(method: str, tables: WaveletTables, grid_points: int,
              K: float = 1.0, b: float = 1.0):
-    """Bind a method name to a fit callable usable by monte_carlo_risk."""
+    """Bind a method name to a fit callable usable by monte_carlo_risks."""
     if method in ("HTCV", "STCV"):
         return lambda s: _cv_fit(s, tables, method, grid_points)
     if method in ("theoretical-hard", "theoretical-soft"):
@@ -422,12 +424,10 @@ def benchmark(ctx):
     reports = []
     for block in cfg.cases:
         for n in cfg.n:
-            spec = cfg.process_spec(block, n)
-            for method in cfg.methods:
-                fit = make_fit(method, tables, cfg.grid_points, K=cfg.K, b=cfg.b)
-                reports.append(monte_carlo_risk(
-                    spec, fit, cfg.M, p_list=cfg.p, method=method,
-                    moment_orders=cfg.moments))
+            fits = {method: make_fit(method, tables, cfg.grid_points, K=cfg.K, b=cfg.b)
+                    for method in cfg.methods}
+            reports += monte_carlo_risks(cfg.process_spec(block, n), fits, cfg.M,
+                                         p_list=cfg.p, moment_orders=cfg.moments)
 
     outputs: list = []
     payload = {"config_sha256": cfg.sha256(), "experiment": cfg.experiment,

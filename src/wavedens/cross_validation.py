@@ -25,6 +25,8 @@ from .estimator import (
     DensityEstimate,
     Sample,
     ThresholdPlan,
+    _check_threshold,
+    _coarse_level,
     _level_lookups,
     apply_plan,
     empirical_coefficients,
@@ -56,8 +58,7 @@ class CvCriterionValue:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError(f"criterion value at j={self.j} is not finite")
-        if self.lam < 0:
-            raise ValueError(f"negative threshold {self.lam}")
+        _check_threshold(self.lam)
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,8 @@ class CvSelection:
         expected = set(range(self.j0, self.j_star + 1))
         if set(self.lambdas) != expected or {cv.j for cv in self.criterion_values} != expected:
             raise ValueError("selection must cover exactly the levels j0..j_star")
-        if any(lam < 0 for lam in self.lambdas.values()):
-            raise ValueError("negative threshold in selection")
+        for lam in self.lambdas.values():
+            _check_threshold(lam)
 
     def to_dict(self) -> dict:
         return {
@@ -125,6 +126,33 @@ def _level_stats(sample: Sample, tables: WaveletTables, j: int):
     return k_min, beta, bracket
 
 
+@dataclass(frozen=True)
+class _CvLevel:
+    """One sample's criterion ingredients at one level, for every mode: its
+    coefficients, a = |beta| in ascending order (stable sort), suffix[i] the sum
+    of the hard brackets of a[i:] (suffix[len(a)] = 0), cands the thresholds
+    that can win."""
+
+    coeffs: CoefficientLevel
+    a: np.ndarray
+    suffix: np.ndarray
+    cands: np.ndarray
+
+
+def _cv_level(sample: Sample, tables: WaveletTables, j: int) -> _CvLevel:
+    """The sample's _CvLevel at level j, built on first use and kept on the
+    sample per tables object; the entry holds the tables, so their id is not
+    reused while it lives."""
+    _, levels = sample._cv.setdefault(id(tables), (tables, {}))
+    if j not in levels:
+        k_min, beta, bracket = _level_stats(sample, tables, j)
+        order = np.argsort(np.abs(beta), kind="stable")
+        a = np.abs(beta[order])
+        suffix = np.concatenate([np.cumsum(bracket[order][::-1])[::-1], [0.0]])
+        levels[j] = _CvLevel(CoefficientLevel(j, k_min, beta), a, suffix, _candidates(a))
+    return levels[j]
+
+
 def cv_criterion(sample: Sample, tables: WaveletTables, j: int, lam: float,
                  mode: str = "HTCV") -> float:
     """CV_j(lam): sum over translates with |beta_{j,k}| >= lam of the risk proxy.
@@ -136,31 +164,18 @@ def cv_criterion(sample: Sample, tables: WaveletTables, j: int, lam: float,
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if not (lam >= 0 and math.isfinite(lam)):
-        raise ValueError(f"negative or non-finite threshold {lam}")
-    _, beta, bracket = _level_stats(sample, tables, j)
-    a, b = _by_magnitude(beta, bracket)
-    return float(_level_criterion(a, b, np.array([float(lam)]), mode)[0])
+    _check_threshold(lam)
+    lev = _cv_level(sample, tables, j)
+    return float(_level_criterion(lev, np.array([float(lam)]), mode)[0])
 
 
-def _by_magnitude(beta: np.ndarray, bracket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|beta| in ascending order (stable sort) and bracket in the same order."""
-    a = np.abs(beta)
-    order = np.argsort(a, kind="stable")
-    return a[order], bracket[order]
-
-
-def _level_criterion(a: np.ndarray, bracket: np.ndarray, lams: np.ndarray,
-                     mode: str) -> np.ndarray:
-    """CV_j at each lam from _by_magnitude's (a, bracket).
-
-    The survivors {|beta| >= lam} are the suffix of a from searchsorted on.
-    """
-    suffix = np.concatenate([np.cumsum(bracket[::-1])[::-1], [0.0]])
-    i = np.searchsorted(a, lams, side="left")
-    vals = suffix[i]
+def _level_criterion(lev: _CvLevel, lams: np.ndarray, mode: str) -> np.ndarray:
+    """CV_j at each lam: the survivors {|beta| >= lam} are the suffix of a
+    from searchsorted on."""
+    i = np.searchsorted(lev.a, lams, side="left")
+    vals = lev.suffix[i]
     if mode == "STCV":
-        vals = vals + lams * lams * (len(a) - i)
+        vals = vals + lams * lams * (len(lev.a) - i)
     return vals
 
 
@@ -178,13 +193,11 @@ def _candidates(a: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.nextafter(a[first], np.inf)])
 
 
-def _select_level(beta: np.ndarray, bracket: np.ndarray, mode: str) -> tuple[float, float]:
+def _select_level(lev: _CvLevel, mode: str) -> tuple[float, float]:
     """Exact argmin of the criterion over the candidate set, ties to smaller lam."""
-    a, b = _by_magnitude(beta, bracket)
-    cands = _candidates(a)
-    vals = _level_criterion(a, b, cands, mode)
+    vals = _level_criterion(lev, lev.cands, mode)
     best = int(np.argmin(vals))  # the first minimum
-    return float(cands[best]), float(vals[best])
+    return float(lev.cands[best]), float(vals[best])
 
 
 def select_lambda(sample: Sample, tables: WaveletTables, j: int,
@@ -192,8 +205,7 @@ def select_lambda(sample: Sample, tables: WaveletTables, j: int,
     """The threshold minimizing CV_j over all lam >= 0 (ties to smallest)."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    _, beta, bracket = _level_stats(sample, tables, j)
-    return _select_level(beta, bracket, mode)[0]
+    return _select_level(_cv_level(sample, tables, j), mode)[0]
 
 
 def select_j1(criterion_values: dict[int, float], j0: int, j_star: int) -> int:
@@ -233,24 +245,20 @@ def fit_cv(sample: Sample, tables: WaveletTables, mode: str = "HTCV",
     n = sample.n
     if n < 2:
         raise ValueError(f"cross validation needs n >= 2, got n={n}")
-    N = tables.vanishing_moments
-    j0 = math.floor(math.log(n) / (1 + N)) + 1
+    j0 = _coarse_level(n, tables.vanishing_moments)
     j_star = math.floor(math.log2(n))
 
     lambdas: dict[int, float] = {}
     values: dict[int, float] = {}
-    kept: dict[int, CoefficientLevel] = {}
     for j in range(j0, j_star + 1):
-        k_min, beta, bracket = _level_stats(sample, tables, j)
-        lambdas[j], values[j] = _select_level(beta, bracket, mode)
-        kept[j] = CoefficientLevel(j=j, k_min=k_min, values=beta)
+        lambdas[j], values[j] = _select_level(_cv_level(sample, tables, j), mode)
     j1_max = max(j0, j_star // 2)  # floor(log2(n) / 2), i.e. 2^j1 <= sqrt(n)
     j1_hat = select_j1(values, j0, j1_max)
 
     coeffs = CoefficientSet(
         j0=j0,
         scaling=empirical_coefficients(sample, tables, j0, j0 - 1).scaling,
-        details=tuple(kept[j] for j in range(j0, j1_hat + 1)),
+        details=tuple(_cv_level(sample, tables, j).coeffs for j in range(j0, j1_hat + 1)),
         n=n,
         support=sample.support,
     )

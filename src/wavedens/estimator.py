@@ -14,7 +14,7 @@ index array; a synthesis adds the 2N taps' gathers in turn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +41,8 @@ class Sample:
 
     values: np.ndarray
     support: tuple[float, float]
+    # cross_validation's level records of this sample, one per tables object
+    _cv: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -117,8 +119,8 @@ class ThresholdPlan:
             raise ValueError(f"threshold mode must be hard or soft, got {self.mode!r}")
         if self.j1 < self.j0:
             raise ValueError(f"plan has j1={self.j1} < j0={self.j0}")
-        if not all(lam >= 0 and math.isfinite(lam) for lam in self.lambdas.values()):
-            raise ValueError(f"negative or non-finite threshold in plan: {self.lambdas}")
+        for lam in self.lambdas.values():
+            _check_threshold(lam)
 
 
 @dataclass(frozen=True)
@@ -206,10 +208,14 @@ def empirical_coefficients(sample: Sample, tables: WaveletTables,
     )
 
 
+def _check_threshold(lam) -> None:
+    if not (lam >= 0 and math.isfinite(lam)):
+        raise ValueError(f"negative or non-finite threshold {lam}")
+
+
 def hard_threshold(beta, lam):
     """beta if |beta| > lam else 0 (strict inequality)."""
-    if lam < 0:
-        raise ValueError("threshold must be nonnegative")
+    _check_threshold(lam)
     b = np.asarray(beta, dtype=np.float64)
     out = np.where(np.abs(b) > lam, b, 0.0)
     return float(out) if b.ndim == 0 else out
@@ -217,11 +223,15 @@ def hard_threshold(beta, lam):
 
 def soft_threshold(beta, lam):
     """sign(beta) * max(|beta| - lam, 0)."""
-    if lam < 0:
-        raise ValueError("threshold must be nonnegative")
+    _check_threshold(lam)
     b = np.asarray(beta, dtype=np.float64)
     out = np.sign(b) * np.maximum(np.abs(b) - lam, 0.0)
     return float(out) if b.ndim == 0 else out
+
+
+def _coarse_level(n: int, N: int) -> int:
+    """j0, the smallest integer larger than ln(n) / (1 + N)."""
+    return math.floor(math.log(n) / (1 + N)) + 1
 
 
 def theoretical_plan(n: int, N: int, b: float, K: float = 1.0,
@@ -237,7 +247,7 @@ def theoretical_plan(n: int, N: int, b: float, K: float = 1.0,
         raise ValueError(f"n must be at least 8, got {n}")
     if N < 1 or not (b > 0 and math.isfinite(b)) or not (K > 0 and math.isfinite(K)):
         raise ValueError(f"need N >= 1 and finite b > 0, K > 0, got N={N}, b={b}, K={K}")
-    j0 = math.floor(math.log(n) / (1 + N)) + 1
+    j0 = _coarse_level(n, N)
     w = (math.log(n) + (-2.0 / b - 3.0) * math.log(math.log(n))) / math.log(2.0)
     j1 = math.ceil(w) - 1
     if j1 < j0:

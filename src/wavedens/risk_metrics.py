@@ -19,6 +19,7 @@ __all__ = [
     "DecayProfile",
     "lp_distance",
     "monte_carlo_risk",
+    "monte_carlo_risks",
     "integrated_moments",
     "covariance_decay",
 ]
@@ -164,32 +165,52 @@ def integrated_moments(estimates: Sequence[DensityEstimate], k: int,
     return float(np.trapezoid(integrand, xs)), clamps
 
 
-def monte_carlo_risk(spec: ProcessSpec, fit: FitFunction, M: int,
-                     p_list: Sequence[float] = (2.0,), method: str = "",
-                     moment_orders: Sequence[int] = (),
-                     seed_fn: Callable[[int, int], int] = derived_seed) -> RiskReport:
-    """Simulate M replicates, fit each, and aggregate risks.
+def monte_carlo_risks(spec: ProcessSpec, fits: dict[str, FitFunction], M: int,
+                      p_list: Sequence[float] = (2.0,), moment_orders: Sequence[int] = (),
+                      seed_fn: Callable[[int, int], int] = derived_seed) -> list[RiskReport]:
+    """Simulate M replicates, fit each with every method, and aggregate risks.
 
     Replicate r uses seed_fn(spec.seed, r); replicates run one after another,
-    in replicate order. Risks are measured against spec.target; the lsv
-    regime has no known density, so there they are skipped and only
-    selection statistics and moments are reported.
+    in replicate order. Each replicate's sample is simulated once and fitted
+    by every method in dict order, and the reports come back in that order.
+    Risks are measured against spec.target; the lsv regime has no known
+    density, so there they are skipped and only selection statistics and
+    moments are reported.
     """
     if M < 2:
         raise ValueError(f"need M >= 2 replicates, got M={M}")
     truth = None if spec.case == "lsv" else spec.target
     norms = sorted(set(p_list) | {2.0}) if truth is not None else []
 
-    fits: list[Fit] = []
-    dists: list[dict] = []
+    done = {method: ([], []) for method in fits}  # each method's Fits and Lp distances
     for r in range(M):
         seed = seed_fn(spec.seed, r)
+        method = "simulate"
         try:
-            fits.append(fit(simulate(replace(spec, seed=seed))))
-            dists.append({p: lp_distance(fits[-1].estimate, truth, p) for p in norms})
+            sample = simulate(replace(spec, seed=seed))
+            for method, fit in fits.items():
+                result = fit(sample)
+                done[method][0].append(result)
+                done[method][1].append({p: lp_distance(result.estimate, truth, p) for p in norms})
         except Exception as exc:
-            raise RuntimeError(f"replicate {r} (seed {seed}) failed: {exc}") from exc
+            raise RuntimeError(
+                f"replicate {r} (seed {seed}) failed for {method}: {exc}") from exc
+    return [_report(spec, method, *done[method], truth, p_list, moment_orders)
+            for method in fits]
 
+
+def monte_carlo_risk(spec: ProcessSpec, fit: FitFunction, M: int,
+                     p_list: Sequence[float] = (2.0,), method: str = "",
+                     moment_orders: Sequence[int] = (),
+                     seed_fn: Callable[[int, int], int] = derived_seed) -> RiskReport:
+    """monte_carlo_risks of the one method `fit`, reported under `method`."""
+    return monte_carlo_risks(spec, {method: fit}, M, p_list, moment_orders, seed_fn)[0]
+
+
+def _report(spec: ProcessSpec, method: str, fits: list[Fit], dists: list[dict],
+            truth: TargetDensity | None, p_list: Sequence[float],
+            moment_orders: Sequence[int]) -> RiskReport:
+    """One method's RiskReport from its replicate fits and their Lp distances."""
     j1s = [f.j1 for f in fits]
     mise = None
     lp_risks: dict[float, float] = {}
@@ -211,7 +232,7 @@ def monte_carlo_risk(spec: ProcessSpec, fit: FitFunction, M: int,
         method=method,
         case=spec.case,
         n=spec.n,
-        replicates=M,
+        replicates=len(fits),
         mise=mise,
         lp_risks=lp_risks,
         mean_j1=None if None in j1s else float(np.mean(j1s)),

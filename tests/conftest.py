@@ -5,7 +5,7 @@ import pytest
 
 from wavedens.cli import make_fit
 from wavedens.processes import ProcessSpec, build_target
-from wavedens.risk_metrics import monte_carlo_risk
+from wavedens.risk_metrics import monte_carlo_risks
 from wavedens.wavelet_basis import build_filter, cascade_tables
 
 MASTER_SEED = 20260814
@@ -32,14 +32,14 @@ def sine_target():
 @pytest.fixture(scope="session")
 def benchmark_reports(sym8_tables, sine_target):
     """RiskReports for case x CV-mode at n=2**10, M=100, shared by the
-    acceptance tests so the expensive sweep runs once per session."""
+    acceptance tests so the expensive sweep runs once per session; both
+    modes fit each case's replicates from one simulation."""
     reports = {}
     for case in CASES:
         spec = ProcessSpec(case=case, n=BENCH_N, seed=MASTER_SEED, target=sine_target)
-        for mode in ("HTCV", "STCV"):
-            fit = make_fit(mode, sym8_tables, 4096)
-            reports[case, mode] = monte_carlo_risk(
-                spec, fit, BENCH_M, p_list=(2.0,), method=mode)
+        fits = {mode: make_fit(mode, sym8_tables, 4096) for mode in ("HTCV", "STCV")}
+        for report in monte_carlo_risks(spec, fits, BENCH_M, p_list=(2.0,)):
+            reports[case, report.method] = report
     return reports
 
 

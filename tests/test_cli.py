@@ -118,6 +118,8 @@ class TestLoadConfig:
         ("b", True, "b must be float"),
         ("out", 5, "out must be str"),
         ("wavelet", [["N", 4]], "wavelet must be dict"),
+        # each method's reports are keyed by its name, so a repeat is refused
+        ("methods", ["HTCV", "STCV", "HTCV"], "methods must not repeat"),
     ])
     def test_field_validation(self, tmp_path, field, value, hint):
         out = tmp_path / "runs"

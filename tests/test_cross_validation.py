@@ -1,7 +1,9 @@
 """Threshold cross-validation: criterion values, argmin structure, level cut."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -309,6 +311,42 @@ class TestFitCv:
             fit_cv(s, sym8_tables, mode="hard")
 
 
+class TestLevelRecord:
+    """Each sample keeps its level statistics per tables object."""
+
+    def test_tables_do_not_share_a_record(self, haar_tables, sym8_tables, rng):
+        """One sample fitted with haar, then sym8, then haar again gives what
+        a fresh sample of the same values gives, bit for bit."""
+        x = rng.random(300)
+        shared = Sample(values=x, support=(0.0, 1.0))
+        for tables in (haar_tables, sym8_tables, haar_tables):
+            for mode in ("HTCV", "STCV"):
+                for j in (1, 3, 5):
+                    fresh = Sample(values=x.copy(), support=(0.0, 1.0))
+                    assert (select_lambda(shared, tables, j, mode)
+                            == select_lambda(fresh, tables, j, mode))
+                    for lam in (0.0, 0.05, 0.3):
+                        fresh = Sample(values=x.copy(), support=(0.0, 1.0))
+                        assert (cv_criterion(shared, tables, j, lam, mode)
+                                == cv_criterion(fresh, tables, j, lam, mode))
+                est, sel = fit_cv(shared, tables, mode=mode, grid_points=128)
+                fresh = Sample(values=x.copy(), support=(0.0, 1.0))
+                want_est, want_sel = fit_cv(fresh, tables, mode=mode, grid_points=128)
+                assert np.array_equal(est.values, want_est.values)
+                assert sel == want_sel
+
+    def test_record_freed_with_the_sample(self, sym8_tables, rng):
+        """No fit result keeps the sample, so its record goes with it."""
+        s = _sample(rng, 256)
+        ref = weakref.ref(s)
+        fits = [fit_cv(s, sym8_tables, mode=mode, grid_points=128) for mode in ("HTCV", "STCV")]
+        assert s._cv
+        del s
+        gc.collect()
+        assert ref() is None  # while both fits are still held
+        assert len(fits) == 2
+
+
 class TestSelectionType:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -318,6 +356,16 @@ class TestSelectionType:
             CvCriterionValue(j=1, lam=-0.5, value=0.0)
         with pytest.raises(ValueError):
             CvCriterionValue(j=1, lam=0.5, value=float("nan"))
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_lambda(self, lam):
+        """A nan or infinite lambda would threshold every coefficient away."""
+        cv = CvCriterionValue(j=1, lam=0.1, value=0.0)
+        with pytest.raises(ValueError, match="non-finite threshold"):
+            CvSelection(mode="HTCV", j0=1, j_star=1, j1_hat=1, lambdas={1: lam},
+                        criterion_values=(cv,))
+        with pytest.raises(ValueError, match="non-finite threshold"):
+            CvCriterionValue(j=1, lam=lam, value=0.0)
 
 
 @given(st.lists(st.floats(0.001, 0.999), min_size=4, max_size=24, unique=True))

@@ -96,6 +96,15 @@ class TestThresholdRules:
         out = soft_threshold(beta, 0.2)
         assert_allclose(out, [-0.3, 0.0, 0.0, 0.3], atol=1e-15)
 
+    @pytest.mark.parametrize("rule", [hard_threshold, soft_threshold])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_threshold(self, rule, lam):
+        """nan and +inf used to zero every coefficient without a word."""
+        with pytest.raises(ValueError, match="non-finite threshold"):
+            rule(np.array([1.0, -2.0]), lam)
+        with pytest.raises(ValueError, match="non-finite threshold"):
+            rule(1.0, lam)
+
     @given(beta=st.floats(-10, 10), lam=st.floats(0, 5))
     @settings(max_examples=100, deadline=None)
     def test_soft_dominated_by_hard(self, beta, lam):

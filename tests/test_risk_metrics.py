@@ -14,7 +14,8 @@ from wavedens.processes import (ProcessSpec, build_target, derived_seed,
                                 simulate)
 from wavedens.risk_metrics import (DecayProfile, Fit, RiskReport,
                                    covariance_decay, integrated_moments,
-                                   lp_distance, monte_carlo_risk)
+                                   lp_distance, monte_carlo_risk,
+                                   monte_carlo_risks)
 
 GRID = np.linspace(0.0, 1.0, 4097)
 
@@ -161,9 +162,27 @@ class TestMonteCarloRisk:
 
         spec = ProcessSpec("iid", 64, seed=77, target=sine_target)
         with pytest.raises(RuntimeError, match="replicate 0") as err:
-            monte_carlo_risk(spec, broken, M=2)
+            monte_carlo_risk(spec, broken, M=2, method="broken-fit")
         assert str(derived_seed(77, 0)) in str(err.value)
-        assert "singular" in str(err.value)
+        assert "failed for broken-fit: singular" in str(err.value)
+        # a method that fits after a working one is named, not the first
+        with pytest.raises(RuntimeError, match=r"replicate 0 \(seed \d+\) failed for HTCV"):
+            monte_carlo_risks(spec, {"kernel-rot": _kernel_fit, "HTCV": broken}, M=2)
+
+    @pytest.mark.parametrize("case", ["iid", "logistic_map", "noncausal_ar", "lsv"])
+    def test_shared_replicates_match_separate_runs(self, case, sine_target, sym8_tables):
+        """Fitting every method to one simulation per replicate reports, for
+        each method, what a run of that method alone reports, bit for bit."""
+        spec = (ProcessSpec(case, 512, seed=3, lsv_alpha=0.5) if case == "lsv"
+                else ProcessSpec(case, 512, seed=3, target=sine_target))
+        fits = {m: make_fit(m, sym8_tables, 256, b=100.0)
+                for m in ("HTCV", "STCV", "theoretical-hard", "kernel-rot")}
+        kwargs = dict(p_list=(1.0, 2.0), moment_orders=(1, 3))
+        shared = monte_carlo_risks(spec, fits, 3, **kwargs)
+        separate = [monte_carlo_risk(spec, fit, 3, method=m, **kwargs)
+                    for m, fit in fits.items()]
+        assert [r.to_dict() for r in shared] == [r.to_dict() for r in separate]
+        assert [r.method for r in shared] == list(fits)
 
     def test_unknown_truth_skips_risks(self):
         spec = ProcessSpec("lsv", 64, seed=5, lsv_alpha=0.5)
