@@ -42,7 +42,6 @@ from .risk_metrics import (
     RiskReport,
     DecayProfile,
     lp_distance,
-    monte_carlo_risk,
     monte_carlo_risks,
     integrated_moments,
     covariance_decay,

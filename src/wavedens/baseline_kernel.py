@@ -76,13 +76,10 @@ def kernel_estimate(sample: Sample, config: KernelConfig = KernelConfig()) -> De
     """f_h(x) = (nh)^-1 sum_i K((x - X_i)/h) on a uniform grid over the support."""
     if config.bandwidth_rule == "fixed":
         h = float(config.h)
-        label = "kernel-fixed"
     elif config.bandwidth_rule == "rule_of_thumb":
         h = rule_of_thumb_bandwidth(sample)
-        label = "kernel-1"
     else:
         h = cv_bandwidth(sample)
-        label = "kernel-2"
     grid = np.linspace(*sample.support, config.grid_points)
     values = np.empty(len(grid))
     x = sample.values
@@ -96,7 +93,7 @@ def kernel_estimate(sample: Sample, config: KernelConfig = KernelConfig()) -> De
         u /= h
         values[start:start + chunk] = _epanechnikov(u, out=u).sum(axis=1)
     values /= sample.n * h
-    return DensityEstimate(grid=grid, values=values, meta=f"{label} h={h:.6g} n={sample.n}")
+    return DensityEstimate(grid=grid, values=values)
 
 
 def _prefix_sums(p: np.ndarray, counts: np.ndarray) -> np.ndarray:

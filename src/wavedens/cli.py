@@ -76,17 +76,18 @@ class ExperimentConfig:
         for block in self.cases:
             if not isinstance(block, dict) or "case" not in block:
                 raise ConfigError(f"case block must be an object with a 'case' key: {block!r}")
-            bad = set(block) - _CASE_KEYS
-            if bad:
-                raise ConfigError(f"unknown case keys {sorted(bad)} in {block!r}")
             try:
                 self.process_spec(block, self.n[0])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid case block {block!r}: {exc}") from exc
+            bad = set(block) - _CASE_KEYS[block["case"]]
+            if bad:
+                raise ConfigError(f"unknown case keys {sorted(bad)} for case "
+                                  f"{block['case']!r} in {block!r}")
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
-        if any(p < 1 for p in self.p):
-            raise ConfigError(f"p values must be >= 1, got {self.p}")
+        if not all(1 <= p < math.inf for p in self.p):
+            raise ConfigError(f"p values must be >= 1 and finite, got {self.p}")
         if any(k < 1 for k in self.moments):
             raise ConfigError(f"moment orders must be >= 1, got {self.moments}")
         for name, allowed in (("wavelet", _WAVELET_DEFAULTS), ("decay", _DECAY_KEYS)):
@@ -166,7 +167,12 @@ class ExperimentConfig:
 
 
 _WAVELET_DEFAULTS = {"family": "symmlet", "N": 8, "depth": 10}
-_CASE_KEYS = {"case", "target", "target_params", "lsv_alpha", "ar_depth"}
+# The keys each case reads. A block is built before this check, and building
+# checks a target name even in an lsv block, which does not read it.
+_CASE_KEYS = {"iid": {"case", "target", "target_params"},
+              "logistic_map": {"case", "target", "target_params"},
+              "noncausal_ar": {"case", "target", "target_params", "ar_depth"},
+              "lsv": {"case", "lsv_alpha"}}
 _DECAY_KEYS = {"j", "k", "n", "max_lag", "alphas"}
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
@@ -238,10 +244,8 @@ def _cv_fit(sample, tables, mode, grid_points):
 def _theoretical_fit(sample, tables, mode, grid_points, K, b):
     plan = theoretical_plan(sample.n, tables.vanishing_moments, b=b, K=K, mode=mode)
     coeffs = apply_plan(empirical_coefficients(sample, tables, plan.j0, plan.j1), plan)
-    meta = f"theoretical-{mode} j0={plan.j0} j1={plan.j1} n={sample.n} K={K}"
-    fractions = {lev.j: float(np.mean(lev.values == 0.0)) for lev in coeffs.details}
-    return Fit(reconstruct(coeffs, tables, grid_points, meta=meta), j1=plan.j1,
-               lambdas=plan.lambdas, killed_fraction=fractions)
+    return Fit(reconstruct(coeffs, tables, grid_points), j1=plan.j1,
+               lambdas=plan.lambdas, killed_fraction=coeffs.zero_fractions())
 
 
 def _kernel_fit(sample, rule, grid_points):

@@ -65,9 +65,9 @@ class CvCriterionValue:
 class CvSelection:
     """Selected thresholds and resolution for one sample and mode.
 
-    `lambdas` maps every level j0 <= j <= j_star to its minimizer; levels
-    above j1_hat are dropped from the estimate but their selections are kept
-    for diagnostics. `criterion_values` holds CV_j at the selected threshold.
+    `criterion_values` lists every level j0 <= j <= j_star in order, with its
+    minimizing threshold and CV_j there; levels above j1_hat are dropped from
+    the estimate but their selections are kept for diagnostics.
     `killed_fraction` is each level's share of zeroed coefficients (not in to_dict).
     """
 
@@ -75,7 +75,6 @@ class CvSelection:
     j0: int
     j_star: int
     j1_hat: int
-    lambdas: dict[int, float]
     criterion_values: tuple[CvCriterionValue, ...]
     killed_fraction: dict[int, float] | None = None
 
@@ -86,11 +85,12 @@ class CvSelection:
             raise ValueError(
                 f"need j0 <= j1_hat <= j_star, got {self.j0}, {self.j1_hat}, {self.j_star}"
             )
-        expected = set(range(self.j0, self.j_star + 1))
-        if set(self.lambdas) != expected or {cv.j for cv in self.criterion_values} != expected:
-            raise ValueError("selection must cover exactly the levels j0..j_star")
-        for lam in self.lambdas.values():
-            _check_threshold(lam)
+        if [cv.j for cv in self.criterion_values] != list(range(self.j0, self.j_star + 1)):
+            raise ValueError("criterion_values must list the levels j0..j_star in order")
+
+    @property
+    def lambdas(self) -> dict[int, float]:
+        return {cv.j: cv.lam for cv in self.criterion_values}
 
     def to_dict(self) -> dict:
         return {
@@ -100,7 +100,7 @@ class CvSelection:
             "j1_hat": self.j1_hat,
             "levels": [
                 {"j": cv.j, "lambda": cv.lam, "cv": cv.value}
-                for cv in sorted(self.criterion_values, key=lambda c: c.j)
+                for cv in self.criterion_values
             ],
         }
 
@@ -116,11 +116,9 @@ def _level_stats(sample: Sample, tables: WaveletTables, j: int):
     n = sample.n
     if n < 2:
         raise ValueError(f"the pairwise term needs n >= 2, got n={n}")
-    lo, hi = sample.support
-    k_min, k_max = tables.k_range(j, lo, hi)
-    i, w = _level_lookups(tables, "psi", j, sample.values, k_min)
-    S = np.bincount(i, w, minlength=k_max - k_min + 1) * 2.0 ** (j / 2)
-    Q = np.bincount(i, w * w, minlength=k_max - k_min + 1) * 2.0**j
+    k_min, size, i, w = _level_lookups(tables, "psi", j, sample)
+    S = np.bincount(i, w, minlength=size) * 2.0 ** (j / 2)
+    Q = np.bincount(i, w * w, minlength=size) * 2.0**j
     beta = S / n
     bracket = beta * beta - 2.0 * (S * S - Q) / (n * (n - 1))
     return k_min, beta, bracket
@@ -248,40 +246,28 @@ def fit_cv(sample: Sample, tables: WaveletTables, mode: str = "HTCV",
     j0 = _coarse_level(n, tables.vanishing_moments)
     j_star = math.floor(math.log2(n))
 
-    lambdas: dict[int, float] = {}
-    values: dict[int, float] = {}
-    for j in range(j0, j_star + 1):
-        lambdas[j], values[j] = _select_level(_cv_level(sample, tables, j), mode)
+    criterion_values = tuple(
+        CvCriterionValue(j, *_select_level(_cv_level(sample, tables, j), mode))
+        for j in range(j0, j_star + 1)
+    )
     j1_max = max(j0, j_star // 2)  # floor(log2(n) / 2), i.e. 2^j1 <= sqrt(n)
-    j1_hat = select_j1(values, j0, j1_max)
+    j1_hat = select_j1({cv.j: cv.value for cv in criterion_values}, j0, j1_max)
 
     coeffs = CoefficientSet(
         j0=j0,
         scaling=empirical_coefficients(sample, tables, j0, j0 - 1).scaling,
         details=tuple(_cv_level(sample, tables, j).coeffs for j in range(j0, j1_hat + 1)),
-        n=n,
         support=sample.support,
     )
     plan = ThresholdPlan(
         mode="hard" if mode == "HTCV" else "soft",
-        lambdas={j: lambdas[j] for j in range(j0, j1_hat + 1)},
+        lambdas={cv.j: cv.lam for cv in criterion_values[:j1_hat - j0 + 1]},
         j0=j0,
         j1=j1_hat,
     )
     thresholded = apply_plan(coeffs, plan)
-    killed = {lev.j: float(np.mean(lev.values == 0.0)) for lev in thresholded.details}
+    killed = thresholded.zero_fractions()
     killed.update((j, 1.0) for j in range(j1_hat + 1, j_star + 1))
-    selection = CvSelection(
-        mode=mode,
-        j0=j0,
-        j_star=j_star,
-        j1_hat=j1_hat,
-        lambdas=lambdas,
-        criterion_values=tuple(
-            CvCriterionValue(j=j, lam=lambdas[j], value=values[j])
-            for j in range(j0, j_star + 1)
-        ),
-        killed_fraction=killed,
-    )
-    meta = f"{mode} j0={j0} j1={j1_hat} n={n}"
-    return reconstruct(thresholded, tables, grid_points, meta=meta), selection
+    selection = CvSelection(mode=mode, j0=j0, j_star=j_star, j1_hat=j1_hat,
+                            criterion_values=criterion_values, killed_fraction=killed)
+    return reconstruct(thresholded, tables, grid_points), selection

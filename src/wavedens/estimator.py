@@ -91,7 +91,6 @@ class CoefficientSet:
     j0: int
     scaling: CoefficientLevel
     details: tuple[CoefficientLevel, ...]
-    n: int
     support: tuple[float, float]
 
     @property
@@ -103,6 +102,10 @@ class CoefficientSet:
             if lev.j == j:
                 return lev
         raise KeyError(f"no detail level j={j}")
+
+    def zero_fractions(self) -> dict[int, float]:
+        """Each detail level's share of zero coefficients."""
+        return {lev.j: float(np.mean(lev.values == 0.0)) for lev in self.details}
 
 
 @dataclass(frozen=True)
@@ -125,11 +128,10 @@ class ThresholdPlan:
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """A function tabulated on a uniform grid, with provenance in meta."""
+    """A function tabulated on a uniform grid."""
 
     grid: np.ndarray
     values: np.ndarray
-    meta: str
 
     def __post_init__(self):
         steps = np.diff(self.grid)
@@ -144,19 +146,22 @@ class DensityEstimate:
         return float(np.trapezoid(self.values, self.grid))
 
 
-def _level_lookups(tables: WaveletTables, kind: str, j: int, x: np.ndarray,
-                   k_min: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every tap's (i = k - k_min, w) for the points x at level j, tap-major.
+def _level_lookups(tables: WaveletTables, kind: str, j: int,
+                   sample: Sample) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(k_min, size, i, w): the translates k_min..k_min + size - 1 that meet
+    the support, which hold every tap, and each tap's (i = k - k_min, w) for
+    the sample points, tap-major.
 
-    np.bincount(i, w) then adds each translate's weights tap by tap, each tap
-    in sample order; the zero weights of taps off the table leave a bin as it
-    is, since bins start at +0.0. The translates k_range gives for an interval
-    containing x hold every tap. The 2^(j/2) dilation factor is not applied.
+    np.bincount(i, w, minlength=size) then adds each translate's weights tap
+    by tap, each tap in sample order; the zero weights of taps off the table
+    leave a bin as it is, since bins start at +0.0. The 2^(j/2) dilation
+    factor is not applied.
     """
+    k_min, k_max = tables.k_range(j, *sample.support)
     poly = tables.polyphase(kind)
-    kbase, rho = tables.residues(j, x)
+    kbase, rho = tables.residues(j, sample.values)
     i = (kbase - k_min)[None, :] + np.arange(len(poly))[:, None]
-    return i.ravel(), poly[:, rho].ravel()
+    return k_min, k_max - k_min + 1, i.ravel(), poly[:, rho].ravel()
 
 
 def _synthesize_level(tables: WaveletTables, kind: str, lev: CoefficientLevel,
@@ -190,20 +195,16 @@ def empirical_coefficients(sample: Sample, tables: WaveletTables,
     """
     if jmax < j0 - 1:
         raise ValueError(f"jmax={jmax} below j0-1 with j0={j0}")
-    lo, hi = sample.support
-    n = sample.n
 
     def level(kind: str, j: int) -> CoefficientLevel:
-        k_min, k_max = tables.k_range(j, lo, hi)
-        i, w = _level_lookups(tables, kind, j, sample.values, k_min)
-        S = np.bincount(i, w, minlength=k_max - k_min + 1)
-        return CoefficientLevel(j=j, k_min=k_min, values=2.0 ** (j / 2) * S / n)
+        k_min, size, i, w = _level_lookups(tables, kind, j, sample)
+        S = np.bincount(i, w, minlength=size)
+        return CoefficientLevel(j=j, k_min=k_min, values=2.0 ** (j / 2) * S / sample.n)
 
     return CoefficientSet(
         j0=j0,
         scaling=level("phi", j0),
         details=tuple(level("psi", j) for j in range(j0, jmax + 1)),
-        n=n,
         support=sample.support,
     )
 
@@ -274,7 +275,7 @@ def apply_plan(coeffs: CoefficientSet, plan: ThresholdPlan) -> CoefficientSet:
 
 
 def reconstruct(coeffs: CoefficientSet, tables: WaveletTables,
-                grid_points: int = 4096, meta: str | None = None) -> DensityEstimate:
+                grid_points: int = 4096) -> DensityEstimate:
     """Synthesize the coefficient set on a uniform grid over its support."""
     if grid_points < 64:
         raise ValueError(f"grid_points must be at least 64, got {grid_points}")
@@ -284,6 +285,4 @@ def reconstruct(coeffs: CoefficientSet, tables: WaveletTables,
     for lev in coeffs.details:
         if np.any(lev.values != 0.0):
             values += _synthesize_level(tables, "psi", lev, grid)
-    if meta is None:
-        meta = f"wavelet j0={coeffs.j0} jmax={coeffs.jmax} n={coeffs.n}"
-    return DensityEstimate(grid=grid, values=values, meta=meta)
+    return DensityEstimate(grid=grid, values=values)

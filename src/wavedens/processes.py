@@ -69,8 +69,8 @@ class ProcessSpec:
                 raise ValueError("lsv case needs lsv_alpha in (0, 1)")
         elif self.target is None:
             raise ValueError(f"case {self.case!r} needs a target density")
-        if self.ar_depth < 1:
-            raise ValueError("ar_depth must be positive")
+        if type(self.ar_depth) is not int or self.ar_depth < 1:
+            raise ValueError(f"ar_depth must be an integer >= 1, got {self.ar_depth!r}")
 
 
 def derived_seed(master: int, r: int) -> int:

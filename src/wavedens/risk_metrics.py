@@ -18,7 +18,6 @@ __all__ = [
     "RiskReport",
     "DecayProfile",
     "lp_distance",
-    "monte_carlo_risk",
     "monte_carlo_risks",
     "integrated_moments",
     "covariance_decay",
@@ -111,8 +110,8 @@ class DecayProfile:
 
 def lp_distance(estimate: DensityEstimate, truth: TargetDensity, p: float) -> float:
     """(integral |g - f|^p)^(1/p) by trapezoid quadrature on the estimate grid."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
     lo, hi = truth.support
     grid = estimate.grid
     if grid[0] > lo or grid[-1] < hi:
@@ -197,14 +196,6 @@ def monte_carlo_risks(spec: ProcessSpec, fits: dict[str, FitFunction], M: int,
                 f"replicate {r} (seed {seed}) failed for {method}: {exc}") from exc
     return [_report(spec, method, *done[method], truth, p_list, moment_orders)
             for method in fits]
-
-
-def monte_carlo_risk(spec: ProcessSpec, fit: FitFunction, M: int,
-                     p_list: Sequence[float] = (2.0,), method: str = "",
-                     moment_orders: Sequence[int] = (),
-                     seed_fn: Callable[[int, int], int] = derived_seed) -> RiskReport:
-    """monte_carlo_risks of the one method `fit`, reported under `method`."""
-    return monte_carlo_risks(spec, {method: fit}, M, p_list, moment_orders, seed_fn)[0]
 
 
 def _report(spec: ProcessSpec, method: str, fits: list[Fit], dists: list[dict],

@@ -17,7 +17,7 @@ from wavedens.cli import main, make_fit
 from wavedens.cross_validation import cv_criterion, select_lambda
 from wavedens.estimator import Sample, empirical_coefficients, reconstruct
 from wavedens.processes import ProcessSpec, derived_seed, simulate
-from wavedens.risk_metrics import covariance_decay, monte_carlo_risk
+from wavedens.risk_metrics import covariance_decay, monte_carlo_risks
 from wavedens.wavelet_basis import build_filter, cascade_tables
 
 from conftest import BENCH_M, CASES, MASTER_SEED
@@ -224,9 +224,8 @@ def test_criterion_6_risk_decays_with_n(capsys, sym8_tables, sine_target):
     mises = []
     for n in sizes:
         spec = ProcessSpec("iid", n, seed=MASTER_SEED, target=sine_target)
-        fit = make_fit("STCV", sym8_tables, 4096)
-        rep = monte_carlo_risk(spec, fit, BENCH_M, method="STCV")
-        mises.append(rep.mise)
+        fits = {"STCV": make_fit("STCV", sym8_tables, 4096)}
+        mises.append(monte_carlo_risks(spec, fits, BENCH_M)[0].mise)
     decreasing = all(a > b for a, b in zip(mises, mises[1:]))
     ratio = [n / math.log(n) for n in sizes]
     slope = float(np.polyfit(np.log(ratio), np.log(mises), 1)[0])

@@ -296,15 +296,6 @@ class TestKernelEstimate:
         est = kernel_estimate(s)
         assert np.trapezoid(est.values, est.grid) == pytest.approx(1.0, abs=0.05)
 
-    def test_meta_labels_name_the_rule(self, rng):
-        s = _sample(rng, 80)
-        assert kernel_estimate(s).meta.startswith("kernel-1 ")
-        cfg_cv = KernelConfig(bandwidth_rule="cv", grid_points=256)
-        assert kernel_estimate(s, cfg_cv).meta.startswith("kernel-2 ")
-        cfg_fx = KernelConfig(bandwidth_rule="fixed", h=0.1, grid_points=256)
-        meta = kernel_estimate(s, cfg_fx).meta
-        assert meta.startswith("kernel-fixed ") and "h=0.1" in meta
-
     def test_nonnegative_everywhere(self, rng):
         est = kernel_estimate(_sample(rng, 100))
         assert np.all(est.values >= 0.0)

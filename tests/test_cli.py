@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 
 import wavedens
 from wavedens.cli import ConfigError, load_config, main
-from wavedens.processes import derived_seed
+from wavedens.processes import build_target, derived_seed, simulate
 
 DATA = Path(__file__).parent / "data"
 
@@ -120,6 +121,14 @@ class TestLoadConfig:
         ("wavelet", [["N", 4]], "wavelet must be dict"),
         # each method's reports are keyed by its name, so a repeat is refused
         ("methods", ["HTCV", "STCV", "HTCV"], "methods must not repeat"),
+        # ar_depth counts sweeps, and a key the case does not read is refused
+        ("cases", [{"case": "noncausal_ar", "ar_depth": 2.5}], "ar_depth must be an integer"),
+        ("cases", [{"case": "noncausal_ar", "ar_depth": True}], "ar_depth must be an integer"),
+        ("cases", [{"case": "iid", "lsv_alpha": 7}], "unknown case keys"),
+        ("cases", [{"case": "lsv", "ar_depth": 50}], "unknown case keys"),
+        # json reads Infinity and NaN, which no norm takes
+        ("p", [float("inf")], "p values must be >= 1 and finite"),
+        ("p", [float("nan")], "p values must be >= 1 and finite"),
     ])
     def test_field_validation(self, tmp_path, field, value, hint):
         out = tmp_path / "runs"
@@ -175,6 +184,25 @@ class TestLoadConfig:
             raw = workload.config(workloads.REFERENCE_SEED, tmp_path / name)
             cfg = load_config(write_config(tmp_path, **raw))
             assert (cfg.experiment, cfg.threads) == (raw["experiment"], raw["threads"])
+
+    def test_benchmark_layer_contract(self, monkeypatch):
+        """The benchmark's traced run patches wavedens names and its probe
+        times each layer on its own; both must keep working on small input."""
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        probe = importlib.import_module("probe")
+        tracer = importlib.import_module("tracer").Tracer()
+        originals = {attr: getattr(wavedens.cli, attr)
+                     for attr in ("fit_cv", "empirical_coefficients", "kernel_estimate",
+                                  "make_fit")}
+        workloads.install_layer_spans(tracer)
+        tracer.restore()
+        assert all(getattr(wavedens.cli, a) is f for a, f in originals.items())
+        tables = workloads.make_tables()
+        sample = simulate(workloads.process_spec("iid", 256, seed=1))
+        out = {**probe._cv_layers(sample, tables, build_target(workloads.TARGET), 256),
+               **probe._adapter(sample, tables)}
+        assert out and all(math.isfinite(v) for v in out.values())
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

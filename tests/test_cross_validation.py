@@ -253,14 +253,13 @@ class TestSelectJ1:
 class TestFitCv:
     def test_selection_structure(self, sym8_tables, rng):
         s = _sample(rng, 512)
-        est, sel = fit_cv(s, sym8_tables, mode="HTCV", grid_points=256)
+        _, sel = fit_cv(s, sym8_tables, mode="HTCV", grid_points=256)
         n, N = 512, 8
         assert sel.j0 == math.floor(math.log(n) / (1 + N)) + 1
         assert sel.j_star == 9
         assert sel.j0 <= sel.j1_hat <= sel.j_star
         assert sorted(sel.lambdas) == list(range(sel.j0, sel.j_star + 1))
         assert len(sel.criterion_values) == sel.j_star - sel.j0 + 1
-        assert "HTCV" in est.meta and f"j1={sel.j1_hat}" in est.meta
 
     def test_j1_search_bounded_by_sqrt_n(self, sym8_tables, rng):
         """HTCV's top level stops at floor(log2(n) / 2), while thresholds are
@@ -350,8 +349,12 @@ class TestLevelRecord:
 class TestSelectionType:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            CvSelection(mode="HTCV", j0=3, j_star=2, j1_hat=3, lambdas={3: 0.1},
-                        criterion_values=())
+            CvSelection(mode="HTCV", j0=3, j_star=2, j1_hat=3, criterion_values=())
+        levels = [CvCriterionValue(j=j, lam=0.1, value=0.0) for j in (1, 2)]
+        CvSelection(mode="HTCV", j0=1, j_star=2, j1_hat=1, criterion_values=tuple(levels))
+        with pytest.raises(ValueError, match="in order"):
+            CvSelection(mode="HTCV", j0=1, j_star=2, j1_hat=1,
+                        criterion_values=tuple(levels[::-1]))
         with pytest.raises(ValueError):
             CvCriterionValue(j=1, lam=-0.5, value=0.0)
         with pytest.raises(ValueError):
@@ -360,10 +363,6 @@ class TestSelectionType:
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_lambda(self, lam):
         """A nan or infinite lambda would threshold every coefficient away."""
-        cv = CvCriterionValue(j=1, lam=0.1, value=0.0)
-        with pytest.raises(ValueError, match="non-finite threshold"):
-            CvSelection(mode="HTCV", j0=1, j_star=1, j1_hat=1, lambdas={1: lam},
-                        criterion_values=(cv,))
         with pytest.raises(ValueError, match="non-finite threshold"):
             CvCriterionValue(j=1, lam=lam, value=0.0)
 

@@ -265,9 +265,3 @@ class TestReconstruct:
         coeffs = empirical_coefficients(sample, sym8_tables, j0=2, jmax=4)
         est = reconstruct(coeffs, sym8_tables, grid_points=2048)
         assert abs(est.integral() - 1.0) < 0.1
-
-    def test_default_meta(self, sym8_tables):
-        sample = Sample(values=np.array([0.3, 0.5]), support=(0.0, 1.0))
-        coeffs = empirical_coefficients(sample, sym8_tables, j0=1, jmax=2)
-        est = reconstruct(coeffs, sym8_tables)
-        assert "j0=1" in est.meta and "jmax=2" in est.meta and "n=2" in est.meta

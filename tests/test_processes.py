@@ -79,9 +79,11 @@ class TestSpecValidation:
             ProcessSpec("logistic_map", 100, seed=1)
 
     def test_bad_depth(self, sine_target):
-        with pytest.raises(ValueError, match="ar_depth"):
-            ProcessSpec("noncausal_ar", 100, seed=1, target=sine_target,
-                        ar_depth=0)
+        """The depth is a sweep count: zero, a fraction or a bool is refused."""
+        for depth in (0, 2.5, True):
+            with pytest.raises(ValueError, match="ar_depth must be an integer"):
+                ProcessSpec("noncausal_ar", 100, seed=1, target=sine_target,
+                            ar_depth=depth)
 
 
 class TestTargets:

@@ -14,15 +14,13 @@ from wavedens.processes import (ProcessSpec, build_target, derived_seed,
                                 simulate)
 from wavedens.risk_metrics import (DecayProfile, Fit, RiskReport,
                                    covariance_decay, integrated_moments,
-                                   lp_distance, monte_carlo_risk,
-                                   monte_carlo_risks)
+                                   lp_distance, monte_carlo_risks)
 
 GRID = np.linspace(0.0, 1.0, 4097)
 
 
 def _flat(value, grid=GRID):
-    return DensityEstimate(grid=grid, values=np.full(len(grid), float(value)),
-                           meta="test")
+    return DensityEstimate(grid=grid, values=np.full(len(grid), float(value)))
 
 
 def _uniform_target():
@@ -57,9 +55,14 @@ class TestLpDistance:
         with pytest.raises(ValueError, match="p must be >= 1"):
             lp_distance(_flat(1.0), sine_target, 0.5)
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_non_finite_p_rejected(self, sine_target, p):
+        with pytest.raises(ValueError, match="p must be >= 1 and finite"):
+            lp_distance(_flat(1.0), sine_target, p)
+
     def test_grid_must_cover_support(self, sine_target):
         short = DensityEstimate(grid=np.linspace(0.2, 0.8, 65),
-                                values=np.ones(65), meta="test")
+                                values=np.ones(65))
         with pytest.raises(ValueError, match="does not cover"):
             lp_distance(short, sine_target, 2.0)
 
@@ -78,15 +81,15 @@ class TestIntegratedMoments:
     def test_fourth_moment_of_opposite_ramps(self):
         """mean of (x^4, x^4) then the 4th root gives back x; the integral
         over [1/4, 3/4] is 1/4, exact for trapezoid on a linear integrand."""
-        ramp_up = DensityEstimate(grid=GRID, values=GRID.copy(), meta="a")
-        ramp_dn = DensityEstimate(grid=GRID, values=-GRID, meta="b")
+        ramp_up = DensityEstimate(grid=GRID, values=GRID.copy())
+        ramp_dn = DensityEstimate(grid=GRID, values=-GRID)
         value, clamps = integrated_moments([ramp_up, ramp_dn], k=4,
                                            interval=(0.25, 0.75))
         assert value == pytest.approx(0.25, rel=1e-10)
         assert clamps == 0
 
     def test_odd_moment_clamps_negative_mass(self):
-        shifted = DensityEstimate(grid=GRID, values=GRID - 0.5, meta="r")
+        shifted = DensityEstimate(grid=GRID, values=GRID - 0.5)
         value, clamps = integrated_moments([shifted], k=3, interval=(0.01, 1.0))
         # integrand is (x - 1/2) above 1/2 and clamped to 0 below
         assert value == pytest.approx(0.125, rel=1e-10)
@@ -101,13 +104,13 @@ class TestIntegratedMoments:
         """A coarse grid still integrates a linear moment exactly because the
         interval endpoints are interpolated before quadrature."""
         grid = np.linspace(0.0, 1.0, 5)
-        est = DensityEstimate(grid=grid, values=grid.copy(), meta="c")
+        est = DensityEstimate(grid=grid, values=grid.copy())
         value, _ = integrated_moments([est], k=1, interval=(0.1, 0.9))
         assert value == pytest.approx((0.81 - 0.01) / 2.0, rel=1e-12)
 
     def test_grid_mismatch_rejected(self):
         other = DensityEstimate(grid=np.linspace(0.0, 1.0, 99),
-                                values=np.ones(99), meta="d")
+                                values=np.ones(99))
         with pytest.raises(ValueError, match="common grid"):
             integrated_moments([_flat(1.0), other], k=2)
 
@@ -128,14 +131,14 @@ class TestMonteCarloRisk:
     def test_needs_two_replicates(self, sine_target):
         spec = ProcessSpec("iid", 64, seed=1, target=sine_target)
         with pytest.raises(ValueError, match="M >= 2"):
-            monte_carlo_risk(spec, _kernel_fit, M=1)
+            monte_carlo_risks(spec, {"kernel-rot": _kernel_fit}, M=1)
 
     def test_identical_seeds_collapse_to_single_fit(self, sine_target):
         """Forcing one seed for every replicate makes the risk the squared
         distance of that single fit, bit for bit."""
         spec = ProcessSpec("iid", 200, seed=999, target=sine_target)
-        report = monte_carlo_risk(spec, _kernel_fit, M=4,
-                                  seed_fn=lambda master, r: 4242)
+        report, = monte_carlo_risks(spec, {"kernel-rot": _kernel_fit}, M=4,
+                                    seed_fn=lambda master, r: 4242)
         est = _kernel_fit(simulate(ProcessSpec("iid", 200, seed=4242,
                                                target=sine_target))).estimate
         want = lp_distance(est, sine_target, 2.0) ** 2
@@ -143,7 +146,7 @@ class TestMonteCarloRisk:
 
     def test_aggregation_is_the_replicate_mean(self, sine_target):
         spec = ProcessSpec("iid", 150, seed=31, target=sine_target)
-        report = monte_carlo_risk(spec, _kernel_fit, M=2, p_list=(1.0, 2.0))
+        report, = monte_carlo_risks(spec, {"kernel-rot": _kernel_fit}, M=2, p_list=(1.0, 2.0))
         dists = {}
         for r in range(2):
             rep = ProcessSpec("iid", 150, seed=derived_seed(31, r),
@@ -162,7 +165,7 @@ class TestMonteCarloRisk:
 
         spec = ProcessSpec("iid", 64, seed=77, target=sine_target)
         with pytest.raises(RuntimeError, match="replicate 0") as err:
-            monte_carlo_risk(spec, broken, M=2, method="broken-fit")
+            monte_carlo_risks(spec, {"broken-fit": broken}, M=2)
         assert str(derived_seed(77, 0)) in str(err.value)
         assert "failed for broken-fit: singular" in str(err.value)
         # a method that fits after a working one is named, not the first
@@ -179,14 +182,14 @@ class TestMonteCarloRisk:
                 for m in ("HTCV", "STCV", "theoretical-hard", "kernel-rot")}
         kwargs = dict(p_list=(1.0, 2.0), moment_orders=(1, 3))
         shared = monte_carlo_risks(spec, fits, 3, **kwargs)
-        separate = [monte_carlo_risk(spec, fit, 3, method=m, **kwargs)
+        separate = [monte_carlo_risks(spec, {m: fit}, 3, **kwargs)[0]
                     for m, fit in fits.items()]
         assert [r.to_dict() for r in shared] == [r.to_dict() for r in separate]
         assert [r.method for r in shared] == list(fits)
 
     def test_unknown_truth_skips_risks(self):
         spec = ProcessSpec("lsv", 64, seed=5, lsv_alpha=0.5)
-        report = monte_carlo_risk(spec, _kernel_fit, M=2)
+        report, = monte_carlo_risks(spec, {"kernel-rot": _kernel_fit}, M=2)
         assert report.mise is None
         assert report.lp_risks == {}
         assert report.mean_j1 is None
@@ -198,7 +201,7 @@ class TestMonteCarloRisk:
                        killed_fraction={1: 0.5}, diagnostics=sel)
 
         spec = ProcessSpec("iid", 64, seed=13, target=sine_target)
-        report = monte_carlo_risk(spec, cv_fit, M=3, method="STCV")
+        report, = monte_carlo_risks(spec, {"STCV": cv_fit}, M=3)
         assert report.method == "STCV"
         assert report.mean_j1 is not None and 1 <= report.mean_j1 <= 6
         assert sorted(report.threshold_profile) == list(range(1, 7))
@@ -227,14 +230,15 @@ class TestMonteCarloRisk:
 
     def test_moments_wired_through(self, sine_target):
         spec = ProcessSpec("iid", 128, seed=21, target=sine_target)
-        report = monte_carlo_risk(spec, _kernel_fit, M=2, moment_orders=(1, 2))
+        report, = monte_carlo_risks(spec, {"kernel-rot": _kernel_fit}, M=2,
+                                    moment_orders=(1, 2))
         assert set(report.integrated_moments) == {1, 2}
         assert report.moment_clamps == 0  # kernel estimates are nonnegative
         assert report.integrated_moments[1] == pytest.approx(1.0, abs=0.1)
 
     def test_report_serializes(self, sine_target):
         spec = ProcessSpec("iid", 64, seed=2, target=sine_target)
-        report = monte_carlo_risk(spec, _kernel_fit, M=2, p_list=(1.0,))
+        report, = monte_carlo_risks(spec, {"kernel-rot": _kernel_fit}, M=2, p_list=(1.0,))
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["case"] == "iid"
         assert payload["replicates"] == 2
