@@ -69,21 +69,23 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}, expected one of {METHODS}")
-        if len(set(self.methods)) < len(self.methods):
-            raise ConfigError(f"methods must not repeat, got {list(self.methods)}")
+        for name in ("methods", "n", "p", "moments"):  # each value keys its own outputs
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ConfigError(f"{name} must not repeat, got {list(getattr(self, name))}")
         if not self.n or any(v < 8 for v in self.n):
             raise ConfigError(f"n values must be >= 8, got {self.n}")
         for block in self.cases:
-            if not isinstance(block, dict) or "case" not in block:
-                raise ConfigError(f"case block must be an object with a 'case' key: {block!r}")
+            if not isinstance(block, dict) or type(block.get("case")) is not str:
+                raise ConfigError(f"case block must be an object with a str 'case' key: {block!r}")
+            # an unknown case has no key set; building it below names the case
+            bad = set(block) - _CASE_KEYS.get(block["case"], set(block))
+            if bad:
+                raise ConfigError(f"unknown case keys {sorted(bad)} for case "
+                                  f"{block['case']!r} in {block!r}")
             try:
                 self.process_spec(block, self.n[0])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid case block {block!r}: {exc}") from exc
-            bad = set(block) - _CASE_KEYS[block["case"]]
-            if bad:
-                raise ConfigError(f"unknown case keys {sorted(bad)} for case "
-                                  f"{block['case']!r} in {block!r}")
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
         if not all(1 <= p < math.inf for p in self.p):
@@ -131,10 +133,12 @@ class ExperimentConfig:
                         ("k", type(d["k"]) is int), ("n", n >= 8),
                         ("max_lag", type(lag) is int and 1 <= lag <= n // 4),
                         ("alphas", isinstance(d["alphas"], (list, tuple))
-                         and all(type(a) is float and 0 < a < 1 for a in d["alphas"]))):
+                         and all(type(a) is float and 0 < a < 1 for a in d["alphas"])
+                         and len({f"{a:.2f}" for a in d["alphas"]}) == len(d["alphas"]))):
             if not ok:
                 raise ConfigError(f"decay.{key} is invalid: {d[key]!r} (need integers j >= 0, "
-                                  "k, n >= 8, max_lag in [1, n/4] and alphas in (0, 1))")
+                                  "k, n >= 8, max_lag in [1, n/4] and alphas in (0, 1) "
+                                  "that differ at two decimals, which name their files)")
         return d
 
     def check_schedules(self) -> None:
@@ -158,17 +162,18 @@ class ExperimentConfig:
 
     def process_spec(self, block: dict, n: int) -> ProcessSpec:
         """The block's regime at size n; every case block is built here at load."""
-        kwargs = {"lsv_alpha": block.get("lsv_alpha", 0.5)} if block["case"] == "lsv" else {}
+        reads = _CASE_KEYS.get(block["case"], ())
+        kwargs = {"lsv_alpha": block.get("lsv_alpha", 0.5)} if "lsv_alpha" in reads else {}
         if "ar_depth" in block:
             kwargs["ar_depth"] = block["ar_depth"]
-        target = build_target(block.get("target", "sine_uniform_mixture"),
-                              block.get("target_params"))
-        return ProcessSpec(case=block["case"], n=n, seed=self.seed, target=target, **kwargs)
+        if "target" in reads:
+            kwargs["target"] = build_target(block.get("target", "sine_uniform_mixture"),
+                                            block.get("target_params"))
+        return ProcessSpec(case=block["case"], n=n, seed=self.seed, **kwargs)
 
 
 _WAVELET_DEFAULTS = {"family": "symmlet", "N": 8, "depth": 10}
-# The keys each case reads. A block is built before this check, and building
-# checks a target name even in an lsv block, which does not read it.
+# The keys each case reads.
 _CASE_KEYS = {"iid": {"case", "target", "target_params"},
               "logistic_map": {"case", "target", "target_params"},
               "noncausal_ar": {"case", "target", "target_params", "ar_depth"},

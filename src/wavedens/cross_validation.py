@@ -138,10 +138,8 @@ class _CvLevel:
 
 
 def _cv_level(sample: Sample, tables: WaveletTables, j: int) -> _CvLevel:
-    """The sample's _CvLevel at level j, built on first use and kept on the
-    sample per tables object; the entry holds the tables, so their id is not
-    reused while it lives."""
-    _, levels = sample._cv.setdefault(id(tables), (tables, {}))
+    """The sample's _CvLevel at level j, built on first use and kept per tables object."""
+    levels = sample._cv.setdefault(tables, {})
     if j not in levels:
         k_min, beta, bracket = _level_stats(sample, tables, j)
         order = np.argsort(np.abs(beta), kind="stable")

@@ -40,8 +40,6 @@ _TARGET_PARAMS = {"sine_uniform_mixture": set(), "custom": {"density", "support"
 class TargetDensity:
     """A density with matching cdf and inverse cdf on a compact support."""
 
-    kind: str
-    params: dict
     support: tuple[float, float]
     density: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
@@ -50,7 +48,7 @@ class TargetDensity:
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Declarative description of one sampling regime."""
+    """One sampling regime; the lsv map alone has no known density, so no target."""
 
     case: str
     n: int
@@ -67,6 +65,8 @@ class ProcessSpec:
         if self.case == "lsv":
             if self.lsv_alpha is None or not 0 < self.lsv_alpha < 1:
                 raise ValueError("lsv case needs lsv_alpha in (0, 1)")
+            if self.target is not None:
+                raise ValueError("lsv case has no known density and takes no target")
         elif self.target is None:
             raise ValueError(f"case {self.case!r} needs a target density")
         if type(self.ar_depth) is not int or self.ar_depth < 1:
@@ -83,7 +83,7 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
 
 
-def _tabulated_target(kind: str, params: dict, density, support) -> TargetDensity:
+def _tabulated_target(kind: str, density, support) -> TargetDensity:
     """Normalize `density` by trapezoid quadrature on 2^16 + 1 points.
 
     The cdf interpolates the cumulative table (non-decreasing, 0.0 to 1.0),
@@ -111,7 +111,7 @@ def _tabulated_target(kind: str, params: dict, density, support) -> TargetDensit
     def inverse_cdf(u):
         return np.interp(np.asarray(u, dtype=np.float64), cum, xs)
 
-    return TargetDensity(kind, params, (float(lo), float(hi)), normalized, cdf, inverse_cdf)
+    return TargetDensity((float(lo), float(hi)), normalized, cdf, inverse_cdf)
 
 
 def build_target(kind: str, params: dict | None = None) -> TargetDensity:
@@ -166,7 +166,7 @@ def build_target(kind: str, params: dict | None = None) -> TargetDensity:
             x[curved] = y
             return x
 
-        return TargetDensity(kind, {"c": c}, (0.0, 1.0), density, cdf, inverse_cdf)
+        return TargetDensity((0.0, 1.0), density, cdf, inverse_cdf)
 
     if kind == "gaussian_mixture":
         means = np.asarray(params.get("means", (0.35, 0.65)), dtype=np.float64)
@@ -186,13 +186,12 @@ def build_target(kind: str, params: dict | None = None) -> TargetDensity:
             z = (x[..., None] - means) / sds
             return (weights * np.exp(-0.5 * z * z) / (sds * math.sqrt(2 * math.pi))).sum(axis=-1)
 
-        pp = {"means": means.tolist(), "sds": sds.tolist(), "weights": weights.tolist()}
-        return _tabulated_target(kind, pp, density, (lo, hi))
+        return _tabulated_target(kind, density, (lo, hi))
 
     if "density" not in params or "support" not in params:
         raise ValueError("custom target needs 'density' and 'support' params")
     lo, hi = params["support"]
-    return _tabulated_target(kind, {"support": (lo, hi)}, params["density"], (lo, hi))
+    return _tabulated_target(kind, params["density"], (lo, hi))
 
 
 def _logistic_trajectory(n: int, rng: np.random.Generator) -> np.ndarray:

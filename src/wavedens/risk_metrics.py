@@ -93,8 +93,6 @@ def _str_keys(d: dict | None) -> dict | None:
 class DecayProfile:
     """Empirical autocovariance of a probe function along the sample path."""
 
-    j: int
-    k: int
     lags: np.ndarray
     covariances: np.ndarray
     variance: float
@@ -172,13 +170,12 @@ def monte_carlo_risks(spec: ProcessSpec, fits: dict[str, FitFunction], M: int,
     Replicate r uses seed_fn(spec.seed, r); replicates run one after another,
     in replicate order. Each replicate's sample is simulated once and fitted
     by every method in dict order, and the reports come back in that order.
-    Risks are measured against spec.target; the lsv regime has no known
-    density, so there they are skipped and only selection statistics and
-    moments are reported.
+    Risks are measured against spec.target; a spec without one (lsv) gets
+    only selection statistics and moments.
     """
     if M < 2:
         raise ValueError(f"need M >= 2 replicates, got M={M}")
-    truth = None if spec.case == "lsv" else spec.target
+    truth = spec.target
     norms = sorted(set(p_list) | {2.0}) if truth is not None else []
 
     done = {method: ([], []) for method in fits}  # each method's Fits and Lp distances
@@ -194,18 +191,17 @@ def monte_carlo_risks(spec: ProcessSpec, fits: dict[str, FitFunction], M: int,
         except Exception as exc:
             raise RuntimeError(
                 f"replicate {r} (seed {seed}) failed for {method}: {exc}") from exc
-    return [_report(spec, method, *done[method], truth, p_list, moment_orders)
+    return [_report(spec, method, *done[method], p_list, moment_orders)
             for method in fits]
 
 
 def _report(spec: ProcessSpec, method: str, fits: list[Fit], dists: list[dict],
-            truth: TargetDensity | None, p_list: Sequence[float],
-            moment_orders: Sequence[int]) -> RiskReport:
+            p_list: Sequence[float], moment_orders: Sequence[int]) -> RiskReport:
     """One method's RiskReport from its replicate fits and their Lp distances."""
     j1s = [f.j1 for f in fits]
     mise = None
     lp_risks: dict[float, float] = {}
-    if truth is not None:
+    if spec.target is not None:
         mise = float(np.mean([d[2.0] ** 2 for d in dists]))
         lp_risks = {p: float(np.mean([d[p] ** p for d in dists]) ** (1.0 / p))
                     for p in p_list}
@@ -273,7 +269,5 @@ def covariance_decay(sample: Sample, tables: WaveletTables, j: int, k: int,
     slope = None
     if fit_mask.sum() >= 3:
         slope = float(np.polyfit(np.log(lags[fit_mask]), np.log(np.abs(covs[fit_mask])), 1)[0])
-    return DecayProfile(
-        j=j, k=k, lags=lags, covariances=covs, variance=variance,
-        floor=floor, slope=slope, sub_noise=sub_noise,
-    )
+    return DecayProfile(lags=lags, covariances=covs, variance=variance,
+                        floor=floor, slope=slope, sub_noise=sub_noise)

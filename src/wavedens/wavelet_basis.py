@@ -38,7 +38,6 @@ _QMF_TOL = 1e-10
 class WaveletFilter:
     """Orthonormal low-pass filter: 2N taps summing to sqrt(2)."""
 
-    family: str
     vanishing_moments: int
     low_pass: np.ndarray
 
@@ -63,7 +62,7 @@ def build_filter(family: str, vanishing_moments: int) -> WaveletFilter:
         target = 1.0 if ell == 0 else 0.0
         if abs(h[: len(h) - 2 * ell] @ h[2 * ell:] - target) > _QMF_TOL:
             raise ValueError(f"filter taps for {key} fail the QMF identity at shift {ell}")
-    return WaveletFilter(family=family, vanishing_moments=vanishing_moments, low_pass=h)
+    return WaveletFilter(vanishing_moments=vanishing_moments, low_pass=h)
 
 
 def _integer_values(h: np.ndarray) -> np.ndarray:
@@ -126,19 +125,19 @@ def cascade_tables(filt: WaveletFilter, depth: int) -> WaveletTables:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveletTables:
     """Sampled phi/psi values on the dyadic grid of step 2**-depth.
 
-    phi_values covers the natural support [0, 2N-1]; psi_values covers
-    [1-N, N]. Instances are immutable and safe to share across workers.
+    phi_values covers the natural support [0, 2N-1] and psi_values [1-N, N].
+    Instances are immutable, equal only to themselves and safe to share.
     """
 
     filter: WaveletFilter
     depth: int
     phi_values: np.ndarray
     psi_values: np.ndarray
-    _polyphase: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    _polyphase: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         N, step = self.vanishing_moments, 2**self.depth

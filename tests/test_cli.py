@@ -100,7 +100,8 @@ class TestLoadConfig:
         ("cases", [{"case": "foo"}], "unknown case 'foo'"),
         ("cases", [{"case": "lsv", "lsv_alpha": 2}], "lsv_alpha in"),
         ("cases", [{"case": "noncausal_ar", "ar_depth": 0}], "ar_depth must be"),
-        ("cases", [{"case": "lsv", "target": "pareto"}], "unknown target"),
+        # lsv has no known density, so a target in its block is refused
+        ("cases", [{"case": "lsv", "target": "pareto"}], "unknown case keys"),
         ("wavelet", {"N": 8.0}, "wavelet.N must be int"),
         ("wavelet", {"depth": "10"}, "wavelet.depth must be int"),
         ("decay", {"j": "x"}, "decay.j is invalid"),
@@ -129,6 +130,15 @@ class TestLoadConfig:
         # json reads Infinity and NaN, which no norm takes
         ("p", [float("inf")], "p values must be >= 1 and finite"),
         ("p", [float("nan")], "p values must be >= 1 and finite"),
+        # each n, p and moment order names its own files, columns or counts
+        ("n", [64, 64], "n must not repeat"),
+        ("p", [2, 2.0], "p must not repeat"),
+        ("moments", [3, 3], "moments must not repeat"),
+        # each lsv alpha's profile is named by the alpha to two decimals
+        ("decay", {"alphas": [0.501, 0.502]}, "decay.alphas is invalid"),
+        ("decay", {"alphas": [0.3, 0.3]}, "decay.alphas is invalid"),
+        # the case name keys the per-case key check, so it must be a string
+        ("cases", [{"case": ["iid"]}], "str 'case' key"),
     ])
     def test_field_validation(self, tmp_path, field, value, hint):
         out = tmp_path / "runs"
@@ -185,7 +195,7 @@ class TestLoadConfig:
             cfg = load_config(write_config(tmp_path, **raw))
             assert (cfg.experiment, cfg.threads) == (raw["experiment"], raw["threads"])
 
-    def test_benchmark_layer_contract(self, monkeypatch):
+    def test_benchmark_layer_contract(self, monkeypatch, tmp_path):
         """The benchmark's traced run patches wavedens names and its probe
         times each layer on its own; both must keep working on small input."""
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
@@ -203,6 +213,9 @@ class TestLoadConfig:
         out = {**probe._cv_layers(sample, tables, build_target(workloads.TARGET), 256),
                **probe._adapter(sample, tables)}
         assert out and all(math.isfinite(v) for v in out.values())
+        cfg = load_config(write_config(tmp_path, cases=[{"case": "lsv", "lsv_alpha": 0.5}]))
+        assert (cfg.process_spec(cfg.cases[0], 256)
+                == workloads.process_spec("lsv", 256, seed=cfg.seed))
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

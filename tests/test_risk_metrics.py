@@ -296,7 +296,6 @@ class TestCovarianceDecay:
     def test_psi_probe_accepted(self, sym8_tables, sine_target):
         s = simulate(ProcessSpec("iid", 400, seed=9, target=sine_target))
         prof = covariance_decay(s, sym8_tables, 3, 2, max_lag=10, kind="psi")
-        assert prof.j == 3 and prof.k == 2
         assert len(prof.covariances) == 10
 
     def test_max_lag_bounds(self, sym8_tables, sine_target):
@@ -308,10 +307,10 @@ class TestCovarianceDecay:
 
     def test_profile_validates_lags(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            DecayProfile(j=2, k=1, lags=np.array([2, 1]),
+            DecayProfile(lags=np.array([2, 1]),
                          covariances=np.zeros(2), variance=1.0,
                          floor=np.zeros(2), slope=None, sub_noise=True)
         with pytest.raises(ValueError, match=">= 1"):
-            DecayProfile(j=2, k=1, lags=np.array([0, 1]),
+            DecayProfile(lags=np.array([0, 1]),
                          covariances=np.zeros(2), variance=1.0,
                          floor=np.zeros(2), slope=None, sub_noise=True)
