@@ -125,20 +125,15 @@ class ExperimentConfig:
     @cached_property
     def decay_settings(self) -> dict:
         """The `decay` block with its defaults filled in; not part of the hash."""
-        d = {"j": 2, "k": 1, "n": int(max(self.n)), "alphas": [v / 10 for v in range(1, 10)],
-             **self.decay}
+        d = {"j": 2, "k": 1, "n": int(max(self.n)), **self.decay}
         n = d["n"] if type(d["n"]) is int else 0  # a non-integer n fails below
         lag = d.setdefault("max_lag", min(200, n // 4))
         for key, ok in (("j", type(d["j"]) is int and d["j"] >= 0),
                         ("k", type(d["k"]) is int), ("n", n >= 8),
-                        ("max_lag", type(lag) is int and 1 <= lag <= n // 4),
-                        ("alphas", isinstance(d["alphas"], (list, tuple))
-                         and all(type(a) is float and 0 < a < 1 for a in d["alphas"])
-                         and len({f"{a:.2f}" for a in d["alphas"]}) == len(d["alphas"]))):
+                        ("max_lag", type(lag) is int and 1 <= lag <= n // 4)):
             if not ok:
-                raise ConfigError(f"decay.{key} is invalid: {d[key]!r} (need integers j >= 0, "
-                                  "k, n >= 8, max_lag in [1, n/4] and alphas in (0, 1) "
-                                  "that differ at two decimals, which name their files)")
+                raise ConfigError(f"decay.{key} is invalid: {d[key]!r} (need integers "
+                                  "j >= 0, k, n >= 8 and max_lag in [1, n/4])")
         return d
 
     def check_schedules(self) -> None:
@@ -178,7 +173,7 @@ _CASE_KEYS = {"iid": {"case", "target", "target_params"},
               "logistic_map": {"case", "target", "target_params"},
               "noncausal_ar": {"case", "target", "target_params", "ar_depth"},
               "lsv": {"case", "lsv_alpha"}}
-_DECAY_KEYS = {"j", "k", "n", "max_lag", "alphas"}
+_DECAY_KEYS = {"j", "k", "n", "max_lag"}
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
@@ -350,7 +345,8 @@ def _need_config(ctx) -> ExperimentConfig:
 
 
 def _case_labels(cases: tuple[dict, ...]) -> list[str]:
-    """Case names as file labels, suffixed with the block index on repeats."""
+    """Each block's label in file names and reports: its case name, suffixed
+    with the block index when the name repeats."""
     names = [block["case"] for block in cases]
     return [name if names.count(name) == 1 else f"{name}{i}"
             for i, name in enumerate(names)]
@@ -431,12 +427,13 @@ def benchmark(ctx):
     out_dir = Path(cfg.out)
     tables = cfg.tables()
     reports = []
-    for block in cfg.cases:
+    for block, label in zip(cfg.cases, _case_labels(cfg.cases)):
         for n in cfg.n:
             fits = {method: make_fit(method, tables, cfg.grid_points, K=cfg.K, b=cfg.b)
                     for method in cfg.methods}
-            reports += monte_carlo_risks(cfg.process_spec(block, n), fits, cfg.M,
-                                         p_list=cfg.p, moment_orders=cfg.moments)
+            reports += [replace(r, case=label) for r in monte_carlo_risks(
+                cfg.process_spec(block, n), fits, cfg.M, p_list=cfg.p,
+                moment_orders=cfg.moments)]
 
     outputs: list = []
     payload = {"config_sha256": cfg.sha256(), "experiment": cfg.experiment,
@@ -482,17 +479,16 @@ def benchmark(ctx):
 @cli.command(name="diagnose-decay")
 @click.pass_context
 def diagnose_decay(ctx):
-    """Covariance-decay profiles: LSV over an alpha grid, other cases as controls."""
+    """Covariance-decay profile of each case block, as written, at size decay.n."""
     cfg = _need_config(ctx)
     out_dir = Path(cfg.out)
     j, k, n, max_lag = (cfg.decay_settings[key] for key in ("j", "k", "n", "max_lag"))
     tables = cfg.tables()
     outputs: list = []
     summary = []
-
-    def run(spec: ProcessSpec, label: str):
-        sample = simulate(spec)
-        prof = covariance_decay(sample, tables, j=j, k=k, max_lag=max_lag)
+    for i, (block, label) in enumerate(zip(cfg.cases, _case_labels(cfg.cases))):
+        spec = replace(cfg.process_spec(block, n), seed=derived_seed(cfg.seed, i))
+        prof = covariance_decay(simulate(spec), tables, j=j, k=k, max_lag=max_lag)
         rows = [{"lag": int(r), "covariance": float(c), "floor": float(f)}
                 for r, c, f in zip(prof.lags, prof.covariances, prof.floor)]
         _write(out_dir / f"decay_{label}.csv",
@@ -503,27 +499,14 @@ def diagnose_decay(ctx):
             flag = f"polynomial, slope = {prof.slope:.2f}"
         else:
             flag = "inconclusive"
-        summary.append({"label": label, "case": spec.case, "n": spec.n,
-                        "slope": prof.slope, "variance": prof.variance,
+        summary.append({"label": label, "case": spec.case, "lsv_alpha": spec.lsv_alpha,
+                        "n": spec.n, "slope": prof.slope, "variance": prof.variance,
                         "flag": flag})
-
-    i = 0
-    for block, label in zip(cfg.cases, _case_labels(cfg.cases)):
-        if block["case"] == "lsv":
-            for alpha in cfg.decay_settings["alphas"]:
-                spec = ProcessSpec(case="lsv", n=n, seed=derived_seed(cfg.seed, i),
-                                   lsv_alpha=alpha)
-                run(spec, f"lsv_alpha{alpha:.2f}")
-                i += 1
-        else:
-            base = cfg.process_spec(block, n)
-            run(replace(base, seed=derived_seed(cfg.seed, i)), label)
-            i += 1
     _write(out_dir / "decay_summary.json", _dumps({
         "config_sha256": cfg.sha256(), "experiment": cfg.experiment,
         "probe": {"kind": "phi", "j": j, "k": k}, "profiles": summary}), outputs)
     _write_manifest(out_dir, cfg, "diagnose-decay", outputs)
-    click.echo(f"wrote {len(outputs)} profiles to {out_dir}")
+    click.echo(f"wrote {len(summary)} profiles to {out_dir}")
 
 
 @cli.command(name="tables")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,23 +70,9 @@ class RiskReport:
             raise ValueError("thresholded fraction outside [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "case": self.case,
-            "n": self.n,
-            "replicates": self.replicates,
-            "mise": self.mise,
-            "lp_risks": {str(p): v for p, v in sorted(self.lp_risks.items())},
-            "mean_j1": self.mean_j1,
-            "threshold_profile": _str_keys(self.threshold_profile),
-            "thresholded_fraction": _str_keys(self.thresholded_fraction),
-            "integrated_moments": _str_keys(self.integrated_moments),
-            "moment_clamps": self.moment_clamps,
-        }
-
-
-def _str_keys(d: dict | None) -> dict | None:
-    return None if d is None else {str(k): d[k] for k in sorted(d)}
+        """The fields as JSON; each dict is keyed by str in ascending key order."""
+        return {name: {str(k): v[k] for k in sorted(v)} if isinstance(v, dict) else v
+                for name, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -163,11 +149,11 @@ def integrated_moments(estimates: Sequence[DensityEstimate], k: int,
 
 
 def monte_carlo_risks(spec: ProcessSpec, fits: dict[str, FitFunction], M: int,
-                      p_list: Sequence[float] = (2.0,), moment_orders: Sequence[int] = (),
-                      seed_fn: Callable[[int, int], int] = derived_seed) -> list[RiskReport]:
+                      p_list: Sequence[float] = (2.0,),
+                      moment_orders: Sequence[int] = ()) -> list[RiskReport]:
     """Simulate M replicates, fit each with every method, and aggregate risks.
 
-    Replicate r uses seed_fn(spec.seed, r); replicates run one after another,
+    Replicate r uses derived_seed(spec.seed, r); replicates run one after another,
     in replicate order. Each replicate's sample is simulated once and fitted
     by every method in dict order, and the reports come back in that order.
     Risks are measured against spec.target; a spec without one (lsv) gets
@@ -180,7 +166,7 @@ def monte_carlo_risks(spec: ProcessSpec, fits: dict[str, FitFunction], M: int,
 
     done = {method: ([], []) for method in fits}  # each method's Fits and Lp distances
     for r in range(M):
-        seed = seed_fn(spec.seed, r)
+        seed = derived_seed(spec.seed, r)
         method = "simulate"
         try:
             sample = simulate(replace(spec, seed=seed))
@@ -238,8 +224,8 @@ def _level_means(per_fit: list[dict | None]) -> dict[int, float] | None:
 
 
 def covariance_decay(sample: Sample, tables: WaveletTables, j: int, k: int,
-                     max_lag: int, kind: str = "phi") -> DecayProfile:
-    """Autocovariance of delta(X_i) = (phi|psi)_{j,k}(X_i) over lags 1..max_lag.
+                     max_lag: int) -> DecayProfile:
+    """Autocovariance of delta(X_i) = phi_{j,k}(X_i) over lags 1..max_lag.
 
     c_hat(r) = (n-r)^-1 sum_i delta~(X_i) delta~(X_{i+r}) with delta~ centered
     by the sample mean. The per-lag noise floor is three standard errors of
@@ -251,7 +237,7 @@ def covariance_decay(sample: Sample, tables: WaveletTables, j: int, k: int,
     n = sample.n
     if not 1 <= max_lag <= n // 4:
         raise ValueError(f"max_lag must be in [1, n/4], got {max_lag} with n={n}")
-    delta = tables.eval(kind, j, k, sample.values)
+    delta = tables.eval("phi", j, k, sample.values)
     delta = delta - delta.mean()
     variance = float(np.mean(delta * delta))
 

@@ -16,7 +16,9 @@ import pytest
 
 import wavedens
 from wavedens.cli import ConfigError, load_config, main
-from wavedens.processes import build_target, derived_seed, simulate
+from wavedens.processes import ProcessSpec, build_target, derived_seed, simulate
+from wavedens.risk_metrics import covariance_decay
+from wavedens.wavelet_basis import build_filter, cascade_tables
 
 DATA = Path(__file__).parent / "data"
 
@@ -106,7 +108,8 @@ class TestLoadConfig:
         ("wavelet", {"depth": "10"}, "wavelet.depth must be int"),
         ("decay", {"j": "x"}, "decay.j is invalid"),
         ("decay", {"n": 64, "max_lag": 17}, "decay.max_lag is invalid"),
-        ("decay", {"alphas": [1.5]}, "decay.alphas is invalid"),
+        # an lsv block's own lsv_alpha sets its regime; a sweep is written as blocks
+        ("decay", {"alphas": [0.5]}, "unknown decay keys"),
         ("K", 0.0, "K must be positive"),
         ("K", float("inf"), "K must be positive"),
         ("b", -1.0, "b must be positive"),
@@ -134,9 +137,9 @@ class TestLoadConfig:
         ("n", [64, 64], "n must not repeat"),
         ("p", [2, 2.0], "p must not repeat"),
         ("moments", [3, 3], "moments must not repeat"),
-        # each lsv alpha's profile is named by the alpha to two decimals
-        ("decay", {"alphas": [0.501, 0.502]}, "decay.alphas is invalid"),
-        ("decay", {"alphas": [0.3, 0.3]}, "decay.alphas is invalid"),
+        # the probe translate is an integer and the decay sample needs n >= 8
+        ("decay", {"k": 1.5}, "decay.k is invalid"),
+        ("decay", {"n": 4}, "decay.n is invalid"),
         # the case name keys the per-case key check, so it must be a string
         ("cases", [{"case": ["iid"]}], "str 'case' key"),
     ])
@@ -501,6 +504,18 @@ class TestBenchmarkCommand:
         assert main(["--config", path_b, "benchmark"]) == 0
         assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
 
+    def test_repeated_blocks_get_labels(self, tmp_path):
+        """Two lsv blocks report under their block labels, as simulate names
+        their files, so an alpha sweep's rows stay apart."""
+        out = tmp_path / "runs"
+        path = tiny_config(tmp_path, cases=[{"case": "lsv", "lsv_alpha": 0.3},
+                                            {"case": "lsv", "lsv_alpha": 0.7}])
+        assert main(["--config", path, "benchmark"]) == 0
+        reports = json.loads((out / "reports.json").read_text())["reports"]
+        assert [r["case"] for r in reports] == ["lsv0", "lsv1"]
+        summary = (out / "risk_summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in summary] == ["lsv0", "lsv1"]
+
 
 class TestDiagnoseDecay:
     def test_profiles_and_flags(self, tmp_path):
@@ -508,17 +523,41 @@ class TestDiagnoseDecay:
         path = tiny_config(
             tmp_path, n=[2048],
             cases=[{"case": "lsv", "lsv_alpha": 0.5}, {"case": "iid"}],
-            decay={"j": 2, "k": 1, "max_lag": 32, "alphas": [0.5]},
+            decay={"j": 2, "k": 1, "max_lag": 32},
         )
         assert main(["--config", path, "diagnose-decay"]) == 0
         summary = json.loads((out / "decay_summary.json").read_text())
         assert summary["probe"] == {"kind": "phi", "j": 2, "k": 1}
         labels = [p["label"] for p in summary["profiles"]]
-        assert labels == ["lsv_alpha0.50", "iid"]
+        assert labels == ["lsv", "iid"]
         assert all("flag" in p for p in summary["profiles"])
-        csv_lines = (out / "decay_lsv_alpha0.50.csv").read_text().splitlines()
+        csv_lines = (out / "decay_lsv.csv").read_text().splitlines()
         assert csv_lines[0] == "lag,covariance,floor"
         assert len(csv_lines) == 33
+
+    def test_each_block_is_profiled_as_written(self, tmp_path, capsys):
+        """Block i runs at its own lsv_alpha with seed derived_seed(seed, i),
+        under its block label; an alpha sweep is written as lsv blocks."""
+        out = tmp_path / "runs"
+        alphas = (0.3, 0.7)
+        path = tiny_config(tmp_path, cases=[{"case": "lsv", "lsv_alpha": a} for a in alphas]
+                           + [{"case": "iid"}], decay={"n": 512, "max_lag": 16})
+        assert main(["--config", path, "diagnose-decay"]) == 0
+        assert capsys.readouterr().out.startswith("wrote 3 profiles")
+        profiles = json.loads((out / "decay_summary.json").read_text())["profiles"]
+        assert [p["label"] for p in profiles] == ["lsv0", "lsv1", "iid"]
+        assert [p["lsv_alpha"] for p in profiles] == [0.3, 0.7, None]
+        tables = cascade_tables(build_filter("daubechies", 1), depth=8)
+        for i, alpha in enumerate(alphas):
+            sample = simulate(ProcessSpec("lsv", 512, derived_seed(11, i), lsv_alpha=alpha))
+            prof = covariance_decay(sample, tables, j=2, k=1, max_lag=16)
+            rows = [line.split(",") for line in
+                    (out / f"decay_lsv{i}.csv").read_text().splitlines()[1:]]
+            assert [int(r[0]) for r in rows] == prof.lags.tolist()
+            assert [float(r[1]) for r in rows] == prof.covariances.tolist()
+            assert [float(r[2]) for r in rows] == prof.floor.tolist()
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert len(outputs) == len(set(outputs)) == 4
 
 
 class TestTablesCommand:

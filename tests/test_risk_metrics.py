@@ -133,17 +133,6 @@ class TestMonteCarloRisk:
         with pytest.raises(ValueError, match="M >= 2"):
             monte_carlo_risks(spec, {"kernel-rot": _kernel_fit}, M=1)
 
-    def test_identical_seeds_collapse_to_single_fit(self, sine_target):
-        """Forcing one seed for every replicate makes the risk the squared
-        distance of that single fit, bit for bit."""
-        spec = ProcessSpec("iid", 200, seed=999, target=sine_target)
-        report, = monte_carlo_risks(spec, {"kernel-rot": _kernel_fit}, M=4,
-                                    seed_fn=lambda master, r: 4242)
-        est = _kernel_fit(simulate(ProcessSpec("iid", 200, seed=4242,
-                                               target=sine_target))).estimate
-        want = lp_distance(est, sine_target, 2.0) ** 2
-        assert report.mise == want
-
     def test_aggregation_is_the_replicate_mean(self, sine_target):
         spec = ProcessSpec("iid", 150, seed=31, target=sine_target)
         report, = monte_carlo_risks(spec, {"kernel-rot": _kernel_fit}, M=2, p_list=(1.0, 2.0))
@@ -292,11 +281,6 @@ class TestCovarianceDecay:
         prof = covariance_decay(s, sym8_tables, 2, 1, max_lag=100)
         assert not prof.sub_noise
         assert prof.slope is not None and -1.5 < prof.slope < -0.2
-
-    def test_psi_probe_accepted(self, sym8_tables, sine_target):
-        s = simulate(ProcessSpec("iid", 400, seed=9, target=sine_target))
-        prof = covariance_decay(s, sym8_tables, 3, 2, max_lag=10, kind="psi")
-        assert len(prof.covariances) == 10
 
     def test_max_lag_bounds(self, sym8_tables, sine_target):
         s = simulate(ProcessSpec("iid", 400, seed=9, target=sine_target))
