@@ -17,21 +17,17 @@ __all__ = [
     "lscv_score",
 ]
 
-_RULES = ("rule_of_thumb", "cv", "fixed")
+_RULES = ("rule_of_thumb", "cv")
 
 
 @dataclass(frozen=True)
 class KernelConfig:
     bandwidth_rule: str = "rule_of_thumb"
-    h: float | None = None
     grid_points: int = 4096
 
     def __post_init__(self):
         if self.bandwidth_rule not in _RULES:
             raise ValueError(f"bandwidth_rule must be one of {_RULES}")
-        if self.bandwidth_rule == "fixed" and not (
-                self.h is not None and self.h > 0 and math.isfinite(self.h)):
-            raise ValueError(f"fixed bandwidth rule needs h > 0 and finite, got {self.h}")
 
 
 def rule_of_thumb_bandwidth(sample: Sample) -> float:
@@ -74,9 +70,7 @@ def _epanechnikov_selfconv(t: np.ndarray) -> np.ndarray:
 
 def kernel_estimate(sample: Sample, config: KernelConfig = KernelConfig()) -> DensityEstimate:
     """f_h(x) = (nh)^-1 sum_i K((x - X_i)/h) on a uniform grid over the support."""
-    if config.bandwidth_rule == "fixed":
-        h = float(config.h)
-    elif config.bandwidth_rule == "rule_of_thumb":
+    if config.bandwidth_rule == "rule_of_thumb":
         h = rule_of_thumb_bandwidth(sample)
     else:
         h = cv_bandwidth(sample)
@@ -168,16 +162,9 @@ def lscv_score(sample: Sample, h: float) -> float:
     return _lscv_scores(sample, np.array([float(h)]))[0]
 
 
-def cv_bandwidth(sample: Sample, candidates=None) -> float:
-    """Bandwidth minimizing the LSCV score over a candidate grid.
-
-    Defaults to 40 log-spaced candidates between h_rot/10 and 3 h_rot; ties
-    break toward the smaller bandwidth.
-    """
-    if candidates is None:
-        h_rot = rule_of_thumb_bandwidth(sample)
-        candidates = np.geomspace(h_rot / 10.0, 3.0 * h_rot, 40)
-    candidates = np.sort(np.asarray(candidates, dtype=np.float64))  # NaN sorts last
-    if candidates.size == 0 or not (candidates[0] > 0 and np.isfinite(candidates[-1])):
-        raise ValueError("candidate bandwidths must be a nonempty, positive, finite grid")
+def cv_bandwidth(sample: Sample) -> float:
+    """Bandwidth minimizing the LSCV score over 40 log-spaced candidates
+    between h_rot/10 and 3 h_rot; ties break toward the smaller bandwidth."""
+    h_rot = rule_of_thumb_bandwidth(sample)
+    candidates = np.geomspace(h_rot / 10.0, 3.0 * h_rot, 40)
     return float(candidates[int(np.argmin(_lscv_scores(sample, candidates)))])

@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise ConfigError("experiment id must be a non-empty string")
         if not self.cases:
             raise ConfigError("config needs at least one case block")
+        if not self.methods:
+            raise ConfigError("methods must list at least one method")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}, expected one of {METHODS}")
@@ -108,9 +110,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         self.decay_settings  # resolve and check the decay block at load
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def sha256(self) -> str:
         """Hash of the result-determining config fields.
 
@@ -118,7 +117,7 @@ class ExperimentConfig:
         are, and `threads` is ignored, so both stay out of the hash: the same
         experiment always lands under the same identity.
         """
-        semantic = {k: v for k, v in self.to_dict().items()
+        semantic = {k: v for k, v in asdict(self).items()
                     if k not in ("out", "threads")}
         return hashlib.sha256(_dumps(semantic).encode()).hexdigest()
 
@@ -380,14 +379,15 @@ def simulate_cmd(ctx):
 @click.option("--method", type=click.Choice(METHODS), required=True)
 @click.option("--K", "K", type=float, default=None,
               help="Threshold constant (required for theoretical-* methods).")
-@click.option("--b", "b", type=float, default=1.0,
+@click.option("--b", "b", type=float, default=ExperimentConfig.b,
               help="Dependence exponent for the theoretical schedule.")
 @click.option("--support", nargs=2, type=float, default=(0.0, 1.0),
               help="Sample support (lo hi).")
-@click.option("--family", default="symmlet")
-@click.option("--N", "N", type=int, default=8)
-@click.option("--depth", type=int, default=10)
-@click.option("--grid-points", type=click.IntRange(min=64), default=4096)
+@click.option("--family", default=_WAVELET_DEFAULTS["family"])
+@click.option("--N", "N", type=int, default=_WAVELET_DEFAULTS["N"])
+@click.option("--depth", type=int, default=_WAVELET_DEFAULTS["depth"])
+@click.option("--grid-points", type=click.IntRange(min=64),
+              default=ExperimentConfig.grid_points)
 @click.pass_context
 def fit_cmd(ctx, sample_path, method, K, b, support, family, N, depth, grid_points):
     """Fit one method to one sample file; write estimate CSV (+ selection JSON)."""
@@ -510,9 +510,9 @@ def diagnose_decay(ctx):
 
 
 @cli.command(name="tables")
-@click.option("--family", default="symmlet")
-@click.option("--N", "N", type=int, default=8)
-@click.option("--depth", type=int, default=10)
+@click.option("--family", default=_WAVELET_DEFAULTS["family"])
+@click.option("--N", "N", type=int, default=_WAVELET_DEFAULTS["N"])
+@click.option("--depth", type=int, default=_WAVELET_DEFAULTS["depth"])
 @click.pass_context
 def tables_cmd(ctx, family, N, depth):
     """Dump the sampled scaling/wavelet tables as CSV."""

@@ -110,7 +110,7 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class ThresholdPlan:
-    """Per-level thresholds and the highest retained detail level j1."""
+    """One threshold for each detail level j0..j1; j1 is the highest retained level."""
 
     mode: str  # hard | soft
     lambdas: dict[int, float]
@@ -122,6 +122,9 @@ class ThresholdPlan:
             raise ValueError(f"threshold mode must be hard or soft, got {self.mode!r}")
         if self.j1 < self.j0:
             raise ValueError(f"plan has j1={self.j1} < j0={self.j0}")
+        if sorted(self.lambdas) != list(range(self.j0, self.j1 + 1)):
+            raise ValueError(f"plan needs one lambda for each level {self.j0}..{self.j1}, "
+                             f"got levels {sorted(self.lambdas)}")
         for lam in self.lambdas.values():
             _check_threshold(lam)
 
@@ -260,18 +263,14 @@ def theoretical_plan(n: int, N: int, b: float, K: float = 1.0,
 
 
 def apply_plan(coeffs: CoefficientSet, plan: ThresholdPlan) -> CoefficientSet:
-    """Threshold detail levels j0..j1, zero levels above j1, keep scaling."""
-    if plan.j1 > coeffs.jmax:
-        raise ValueError(f"plan j1={plan.j1} exceeds stored levels (jmax={coeffs.jmax})")
+    """Threshold each detail level j0..j1, exactly the set's levels; keep scaling."""
+    levels = [lev.j for lev in coeffs.details]
+    if levels != list(range(plan.j0, plan.j1 + 1)):
+        raise ValueError(f"plan levels {plan.j0}..{plan.j1} do not match the "
+                         f"stored detail levels {levels}")
     gamma = hard_threshold if plan.mode == "hard" else soft_threshold
-    new_details = []
-    for lev in coeffs.details:
-        if lev.j > plan.j1:
-            vals = np.zeros_like(lev.values)
-        else:
-            vals = gamma(lev.values, plan.lambdas.get(lev.j, 0.0))
-        new_details.append(replace(lev, values=vals))
-    return replace(coeffs, details=tuple(new_details))
+    return replace(coeffs, details=tuple(
+        replace(lev, values=gamma(lev.values, plan.lambdas[lev.j])) for lev in coeffs.details))
 
 
 def reconstruct(coeffs: CoefficientSet, tables: WaveletTables,

@@ -107,12 +107,11 @@ def lp_distance(estimate: DensityEstimate, truth: TargetDensity, p: float) -> fl
     return float(np.trapezoid(diff**p, grid) ** (1.0 / p))
 
 
-def integrated_moments(estimates: Sequence[DensityEstimate], k: int,
-                       interval: tuple[float, float] | None = None) -> tuple[float, int]:
-    """integral over the interval of (mean across replicates of g^k)^(1/k).
+def integrated_moments(estimates: Sequence[DensityEstimate], k: int) -> tuple[float, int]:
+    """integral over (a, b) of (mean across replicates of g^k)^(1/k).
 
-    The interval defaults to (lo + 0.01 (hi - lo), hi) of the shared grid
-    [lo, hi], which is (0.01, 1.0) on the unit interval.
+    (a, b) is (lo + 0.01 (hi - lo), hi) of the shared grid [lo, hi], which is
+    (0.01, 1.0) on the unit interval.
     Returns (value, clamp_count). For odd k >= 3 the pointwise mean of g^k can
     dip below zero (wavelet estimates are not nonnegative); those points are
     clamped to 0 before the k-th root and counted. k = 1 integrates the
@@ -126,9 +125,7 @@ def integrated_moments(estimates: Sequence[DensityEstimate], k: int,
     for est in estimates[1:]:
         if not np.array_equal(est.grid, grid):
             raise ValueError("estimates must share a common grid")
-    a, b = interval or (grid[0] + 0.01 * (grid[-1] - grid[0]), grid[-1])
-    if a >= b or grid[0] > a or grid[-1] < b:
-        raise ValueError(f"grid does not cover the moment interval [{a}, {b}]")
+    a, b = grid[0] + 0.01 * (grid[-1] - grid[0]), grid[-1]
     stack = np.stack([est.values for est in estimates])
     moment = (stack**k).mean(axis=0)
 

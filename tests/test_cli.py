@@ -84,64 +84,94 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="'case' key"):
             load_config(write_config(tmp_path, cases=[{"target": "gaussian_mixture"}]))
 
+    # explicit ids, so adding or deleting a case renames no other test
     @pytest.mark.parametrize("field,value,hint", [
-        ("methods", ["DTCV"], "unknown method"),
-        ("n", [4], "n values"),
-        ("M", 0, "M must be"),
-        ("p", [0.5], "p values"),
-        ("moments", [0], "moment orders"),
-        ("grid_points", 32, "grid_points"),
-        ("threads", 0, "threads"),
-        ("wavelet", {"order": 3}, "unknown wavelet keys"),
-        ("cases", [], "at least one case"),
-        ("experiment", "", "experiment id"),
-        ("wavelet", {"family": "coiflet"}, "unsupported filter"),
-        ("wavelet", {"N": 30}, "unsupported filter"),
-        ("wavelet", {"depth": 2}, "depth must be"),
-        ("decay", {"j": 2, "lags": 10}, "unknown decay keys"),
-        ("cases", [{"case": "foo"}], "unknown case 'foo'"),
-        ("cases", [{"case": "lsv", "lsv_alpha": 2}], "lsv_alpha in"),
-        ("cases", [{"case": "noncausal_ar", "ar_depth": 0}], "ar_depth must be"),
+        pytest.param("methods", ["DTCV"], "unknown method", id="methods-value0-unknown method"),
+        pytest.param("n", [4], "n values", id="n-value1-n values"),
+        pytest.param("M", 0, "M must be", id="M-0-M must be"),
+        pytest.param("p", [0.5], "p values", id="p-value3-p values"),
+        pytest.param("moments", [0], "moment orders", id="moments-value4-moment orders"),
+        pytest.param("grid_points", 32, "grid_points", id="grid_points-32-grid_points"),
+        pytest.param("threads", 0, "threads", id="threads-0-threads"),
+        pytest.param("wavelet", {"order": 3}, "unknown wavelet keys",
+                     id="wavelet-value7-unknown wavelet keys"),
+        pytest.param("cases", [], "at least one case", id="cases-value8-at least one case"),
+        pytest.param("experiment", "", "experiment id", id="experiment--experiment id"),
+        pytest.param("wavelet", {"family": "coiflet"}, "unsupported filter",
+                     id="wavelet-value10-unsupported filter"),
+        pytest.param("wavelet", {"N": 30}, "unsupported filter",
+                     id="wavelet-value11-unsupported filter"),
+        pytest.param("wavelet", {"depth": 2}, "depth must be", id="wavelet-value12-depth must be"),
+        pytest.param("decay", {"j": 2, "lags": 10}, "unknown decay keys",
+                     id="decay-value13-unknown decay keys"),
+        pytest.param("cases", [{"case": "foo"}], "unknown case 'foo'",
+                     id="cases-value14-unknown case 'foo'"),
+        pytest.param("cases", [{"case": "lsv", "lsv_alpha": 2}], "lsv_alpha in",
+                     id="cases-value15-lsv_alpha in"),
+        pytest.param("cases", [{"case": "noncausal_ar", "ar_depth": 0}], "ar_depth must be",
+                     id="cases-value16-ar_depth must be"),
         # lsv has no known density, so a target in its block is refused
-        ("cases", [{"case": "lsv", "target": "pareto"}], "unknown case keys"),
-        ("wavelet", {"N": 8.0}, "wavelet.N must be int"),
-        ("wavelet", {"depth": "10"}, "wavelet.depth must be int"),
-        ("decay", {"j": "x"}, "decay.j is invalid"),
-        ("decay", {"n": 64, "max_lag": 17}, "decay.max_lag is invalid"),
+        pytest.param("cases", [{"case": "lsv", "target": "pareto"}], "unknown case keys",
+                     id="cases-value17-unknown case keys"),
+        pytest.param("wavelet", {"N": 8.0}, "wavelet.N must be int",
+                     id="wavelet-value18-wavelet.N must be int"),
+        pytest.param("wavelet", {"depth": "10"}, "wavelet.depth must be int",
+                     id="wavelet-value19-wavelet.depth must be int"),
+        pytest.param("decay", {"j": "x"}, "decay.j is invalid",
+                     id="decay-value20-decay.j is invalid"),
+        pytest.param("decay", {"n": 64, "max_lag": 17}, "decay.max_lag is invalid",
+                     id="decay-value21-decay.max_lag is invalid"),
         # an lsv block's own lsv_alpha sets its regime; a sweep is written as blocks
-        ("decay", {"alphas": [0.5]}, "unknown decay keys"),
-        ("K", 0.0, "K must be positive"),
-        ("K", float("inf"), "K must be positive"),
-        ("b", -1.0, "b must be positive"),
-        ("b", float("nan"), "b must be positive"),
+        pytest.param("decay", {"alphas": [0.5]}, "unknown decay keys",
+                     id="decay-value22-unknown decay keys"),
+        pytest.param("K", 0.0, "K must be positive", id="K-0.0-K must be positive"),
+        pytest.param("K", float("inf"), "K must be positive", id="K-inf-K must be positive"),
+        pytest.param("b", -1.0, "b must be positive", id="b--1.0-b must be positive"),
+        pytest.param("b", float("nan"), "b must be positive", id="b-nan-b must be positive"),
         # a value of the wrong JSON type is refused, never rounded or converted
-        ("M", 2.9, "M must be int"),
-        ("M", True, "M must be int"),
-        ("n", [1024.7], r"n\[0\] must be int"),
-        ("seed", "5", "seed must be int"),
-        ("K", "2", "K must be float"),
-        ("b", True, "b must be float"),
-        ("out", 5, "out must be str"),
-        ("wavelet", [["N", 4]], "wavelet must be dict"),
+        pytest.param("M", 2.9, "M must be int", id="M-2.9-M must be int"),
+        pytest.param("M", True, "M must be int", id="M-True-M must be int"),
+        pytest.param("n", [1024.7], r"n\[0\] must be int", id="n-value29-n\\[0\\] must be int"),
+        pytest.param("seed", "5", "seed must be int", id="seed-5-seed must be int"),
+        pytest.param("K", "2", "K must be float", id="K-2-K must be float"),
+        pytest.param("b", True, "b must be float", id="b-True-b must be float"),
+        pytest.param("out", 5, "out must be str", id="out-5-out must be str"),
+        pytest.param("wavelet", [["N", 4]], "wavelet must be dict",
+                     id="wavelet-value34-wavelet must be dict"),
         # each method's reports are keyed by its name, so a repeat is refused
-        ("methods", ["HTCV", "STCV", "HTCV"], "methods must not repeat"),
+        pytest.param("methods", ["HTCV", "STCV", "HTCV"], "methods must not repeat",
+                     id="methods-value35-methods must not repeat"),
+        # a run with no method would simulate every replicate and report nothing
+        pytest.param("methods", [], "methods must list", id="methods-empty-methods must list"),
         # ar_depth counts sweeps, and a key the case does not read is refused
-        ("cases", [{"case": "noncausal_ar", "ar_depth": 2.5}], "ar_depth must be an integer"),
-        ("cases", [{"case": "noncausal_ar", "ar_depth": True}], "ar_depth must be an integer"),
-        ("cases", [{"case": "iid", "lsv_alpha": 7}], "unknown case keys"),
-        ("cases", [{"case": "lsv", "ar_depth": 50}], "unknown case keys"),
+        pytest.param("cases", [{"case": "noncausal_ar", "ar_depth": 2.5}],
+                     "ar_depth must be an integer",
+                     id="cases-value36-ar_depth must be an integer"),
+        pytest.param("cases", [{"case": "noncausal_ar", "ar_depth": True}],
+                     "ar_depth must be an integer",
+                     id="cases-value37-ar_depth must be an integer"),
+        pytest.param("cases", [{"case": "iid", "lsv_alpha": 7}], "unknown case keys",
+                     id="cases-value38-unknown case keys"),
+        pytest.param("cases", [{"case": "lsv", "ar_depth": 50}], "unknown case keys",
+                     id="cases-value39-unknown case keys"),
         # json reads Infinity and NaN, which no norm takes
-        ("p", [float("inf")], "p values must be >= 1 and finite"),
-        ("p", [float("nan")], "p values must be >= 1 and finite"),
+        pytest.param("p", [float("inf")], "p values must be >= 1 and finite",
+                     id="p-value40-p values must be >= 1 and finite"),
+        pytest.param("p", [float("nan")], "p values must be >= 1 and finite",
+                     id="p-value41-p values must be >= 1 and finite"),
         # each n, p and moment order names its own files, columns or counts
-        ("n", [64, 64], "n must not repeat"),
-        ("p", [2, 2.0], "p must not repeat"),
-        ("moments", [3, 3], "moments must not repeat"),
+        pytest.param("n", [64, 64], "n must not repeat", id="n-value42-n must not repeat"),
+        pytest.param("p", [2, 2.0], "p must not repeat", id="p-value43-p must not repeat"),
+        pytest.param("moments", [3, 3], "moments must not repeat",
+                     id="moments-value44-moments must not repeat"),
         # the probe translate is an integer and the decay sample needs n >= 8
-        ("decay", {"k": 1.5}, "decay.k is invalid"),
-        ("decay", {"n": 4}, "decay.n is invalid"),
+        pytest.param("decay", {"k": 1.5}, "decay.k is invalid",
+                     id="decay-value45-decay.k is invalid"),
+        pytest.param("decay", {"n": 4}, "decay.n is invalid",
+                     id="decay-value46-decay.n is invalid"),
         # the case name keys the per-case key check, so it must be a string
-        ("cases", [{"case": ["iid"]}], "str 'case' key"),
+        pytest.param("cases", [{"case": ["iid"]}], "str 'case' key",
+                     id="cases-value47-str 'case' key"),
     ])
     def test_field_validation(self, tmp_path, field, value, hint):
         out = tmp_path / "runs"

@@ -176,14 +176,20 @@ class TestApplyPlan:
         return empirical_coefficients(Sample(values=x, support=(0.0, 1.0)),
                                       tables, j0=1, jmax=5)
 
-    def test_levels_above_j1_zeroed(self, sym8_tables):
+    @pytest.mark.parametrize("levels", [range(1, 3), range(1, 5), range(2, 4), [1, 3]])
+    def test_plan_needs_one_lambda_per_level(self, levels):
+        """A level without its own lambda must not pass silently unthresholded."""
+        with pytest.raises(ValueError, match="one lambda for each level 1..3"):
+            ThresholdPlan(mode="hard", lambdas={j: 0.1 for j in levels}, j0=1, j1=3)
+
+    def test_levels_above_j1_rejected(self, sym8_tables):
+        """A plan thresholds exactly the stored detail levels; it neither
+        zeroes nor skips a level above j1."""
         coeffs = self._coeffs(sym8_tables)
         plan = ThresholdPlan(mode="hard", lambdas={j: 0.0 for j in range(1, 4)},
                              j0=1, j1=3)
-        out = apply_plan(coeffs, plan)
-        for lev in out.details:
-            if lev.j > 3:
-                assert np.all(lev.values == 0.0)
+        with pytest.raises(ValueError, match=r"levels 1..3 do not match .*\[1, 2, 3, 4, 5\]"):
+            apply_plan(coeffs, plan)
 
     def test_scaling_never_thresholded(self, sym8_tables):
         coeffs = self._coeffs(sym8_tables)
@@ -198,7 +204,7 @@ class TestApplyPlan:
         coeffs = self._coeffs(sym8_tables)
         plan = ThresholdPlan(mode="hard", lambdas={j: 0.1 for j in range(1, 8)},
                              j0=1, j1=7)
-        with pytest.raises(ValueError, match="exceeds stored levels"):
+        with pytest.raises(ValueError, match="do not match the stored detail levels"):
             apply_plan(coeffs, plan)
 
     def test_plan_validation(self):

@@ -29,8 +29,7 @@ def _uniform_target():
 
 
 def _kernel_fit(sample):
-    cfg = KernelConfig(bandwidth_rule="fixed", h=0.1, grid_points=512)
-    return Fit(kernel_estimate(sample, cfg))
+    return Fit(kernel_estimate(sample, KernelConfig("rule_of_thumb", grid_points=512)))
 
 
 class TestLpDistance:
@@ -80,17 +79,17 @@ class TestIntegratedMoments:
 
     def test_fourth_moment_of_opposite_ramps(self):
         """mean of (x^4, x^4) then the 4th root gives back x; the integral
-        over [1/4, 3/4] is 1/4, exact for trapezoid on a linear integrand."""
+        over [0.01, 1] is (1 - 0.01^2)/2, exact for trapezoid on a linear
+        integrand."""
         ramp_up = DensityEstimate(grid=GRID, values=GRID.copy())
         ramp_dn = DensityEstimate(grid=GRID, values=-GRID)
-        value, clamps = integrated_moments([ramp_up, ramp_dn], k=4,
-                                           interval=(0.25, 0.75))
-        assert value == pytest.approx(0.25, rel=1e-10)
+        value, clamps = integrated_moments([ramp_up, ramp_dn], k=4)
+        assert value == pytest.approx(0.49995, rel=1e-10)
         assert clamps == 0
 
     def test_odd_moment_clamps_negative_mass(self):
         shifted = DensityEstimate(grid=GRID, values=GRID - 0.5)
-        value, clamps = integrated_moments([shifted], k=3, interval=(0.01, 1.0))
+        value, clamps = integrated_moments([shifted], k=3)
         # integrand is (x - 1/2) above 1/2 and clamped to 0 below
         assert value == pytest.approx(0.125, rel=1e-10)
         assert 0 < clamps < len(GRID)
@@ -102,23 +101,18 @@ class TestIntegratedMoments:
 
     def test_interpolated_endpoints(self):
         """A coarse grid still integrates a linear moment exactly because the
-        interval endpoints are interpolated before quadrature."""
+        interval endpoint 0.01, between grid points, is interpolated before
+        quadrature."""
         grid = np.linspace(0.0, 1.0, 5)
         est = DensityEstimate(grid=grid, values=grid.copy())
-        value, _ = integrated_moments([est], k=1, interval=(0.1, 0.9))
-        assert value == pytest.approx((0.81 - 0.01) / 2.0, rel=1e-12)
+        value, _ = integrated_moments([est], k=1)
+        assert value == pytest.approx((1.0 - 0.0001) / 2.0, rel=1e-12)
 
     def test_grid_mismatch_rejected(self):
         other = DensityEstimate(grid=np.linspace(0.0, 1.0, 99),
                                 values=np.ones(99))
         with pytest.raises(ValueError, match="common grid"):
             integrated_moments([_flat(1.0), other], k=2)
-
-    def test_interval_must_be_covered(self):
-        with pytest.raises(ValueError, match="moment interval"):
-            integrated_moments([_flat(1.0)], k=1, interval=(0.5, 1.5))
-        with pytest.raises(ValueError, match="moment interval"):
-            integrated_moments([_flat(1.0)], k=1, interval=(0.9, 0.1))
 
     def test_bad_order_and_empty_list(self):
         with pytest.raises(ValueError, match="moment order"):
