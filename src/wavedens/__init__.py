@@ -46,6 +46,5 @@ from .risk_metrics import (
     integrated_moments,
     covariance_decay,
 )
-from .cli import ExperimentConfig, ConfigError, load_config
 
 __version__ = "0.1.0"

@@ -253,7 +253,7 @@ def _kernel_fit(sample, rule, grid_points):
 
 
 def make_fit(method: str, tables: WaveletTables, grid_points: int,
-             K: float = 1.0, b: float = 1.0):
+             K: float = ExperimentConfig.K, b: float = ExperimentConfig.b):
     """Bind a method name to a fit callable usable by monte_carlo_risks."""
     if method in ("HTCV", "STCV"):
         return lambda s: _cv_fit(s, tables, method, grid_points)
@@ -404,7 +404,8 @@ def fit_cmd(ctx, sample_path, method, K, b, support, family, N, depth, grid_poin
     out_dir = Path(ctx.obj["out"] or ".")
     sample = _read_sample_csv(sample_path, (lo, hi))
     tables = cascade_tables(build_filter(family, N), depth=depth)
-    result = make_fit(method, tables, grid_points, K=1.0 if K is None else K, b=b)(sample)
+    K = ExperimentConfig.K if K is None else K  # only theoretical-* methods read K
+    result = make_fit(method, tables, grid_points, K=K, b=b)(sample)
     stem = Path(sample_path).stem
     outputs: list = []
     rows = [{"x": float(x), "density": float(v)}

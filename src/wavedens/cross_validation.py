@@ -251,9 +251,12 @@ def fit_cv(sample: Sample, tables: WaveletTables, mode: str = "HTCV",
     j1_max = max(j0, j_star // 2)  # floor(log2(n) / 2), i.e. 2^j1 <= sqrt(n)
     j1_hat = select_j1({cv.j: cv.value for cv in criterion_values}, j0, j1_max)
 
+    record = sample._cv.setdefault(tables, {})  # the j0 scaling level joins the record
+    if "phi" not in record:
+        record["phi"] = empirical_coefficients(sample, tables, j0, j0 - 1).scaling
     coeffs = CoefficientSet(
         j0=j0,
-        scaling=empirical_coefficients(sample, tables, j0, j0 - 1).scaling,
+        scaling=record["phi"],
         details=tuple(_cv_level(sample, tables, j).coeffs for j in range(j0, j1_hat + 1)),
         support=sample.support,
     )

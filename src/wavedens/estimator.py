@@ -8,7 +8,8 @@ Scaling coefficients are never thresholded.
 Both the level sums and the synthesis read the wavelet tables through their
 polyphase form (WaveletTables.polyphase): one residue per point, then one
 gather per tap. A level sum is one np.bincount over the tap-major (2N, n)
-index array; a synthesis adds the 2N taps' gathers in turn.
+index array; a synthesis adds the 2N taps in turn, each a run-length fill (np.repeat)
+of coefficients over the grid's runs, cached by WaveletTables.grid_residues.
 """
 
 from __future__ import annotations
@@ -164,28 +165,29 @@ def _level_lookups(tables: WaveletTables, kind: str, j: int,
     poly = tables.polyphase(kind)
     kbase, rho = tables.residues(j, sample.values)
     i = (kbase - k_min)[None, :] + np.arange(len(poly))[:, None]
-    return k_min, k_max - k_min + 1, i.ravel(), poly[:, rho].ravel()
+    return k_min, k_max - k_min + 1, i.ravel(), poly.take(rho, axis=1).ravel()
 
 
 def _synthesize_level(tables: WaveletTables, kind: str, lev: CoefficientLevel,
-                      x: np.ndarray) -> np.ndarray:
-    """sum_k c_k * (phi|psi)_{j,k}(x) for one coefficient level.
+                      grid: tuple[float, float, int]) -> np.ndarray:
+    """sum_k c_k * (phi|psi)_{j,k}(x) for one coefficient level, x the points of
+    np.linspace(*grid). Tap t reads c[k0 + i + t] over the i-th run of points.
 
     A level that stores only a slice of its translates is padded with zero
-    coefficients to every translate a tap of x reaches. A zero coefficient or
-    a tap off the table adds +-0.0, which leaves out as it is: out starts at
+    coefficients to every translate a tap reaches. A zero coefficient or a
+    tap off the table adds +-0.0, which leaves out as it is: out starts at
     +0.0, so it never holds -0.0.
     """
     poly = tables.polyphase(kind)
-    kbase, rho = tables.residues(lev.j, x)
-    i0 = kbase - lev.k_min
-    left = max(0, -int(i0.min()))
-    c = np.zeros(left + max(len(lev.values), int(i0.max()) + len(poly)))
+    k0, rho, counts = tables.grid_residues(lev.j, *grid)
+    first, m = k0 - lev.k_min, len(counts)
+    left = max(0, -first)
+    c = np.zeros(left + max(len(lev.values), first + m - 1 + len(poly)))
     c[left:left + len(lev.values)] = lev.values
-    i0 += left
-    out = np.zeros(len(x))
+    first += left
+    out = np.zeros(len(rho))
     for t, row in enumerate(poly):
-        out += c[i0 + t] * row[rho]
+        out += np.repeat(c[first + t:first + t + m], counts) * row[rho]
     return out * 2.0 ** (lev.j / 2)
 
 
@@ -278,10 +280,9 @@ def reconstruct(coeffs: CoefficientSet, tables: WaveletTables,
     """Synthesize the coefficient set on a uniform grid over its support."""
     if grid_points < 64:
         raise ValueError(f"grid_points must be at least 64, got {grid_points}")
-    lo, hi = coeffs.support
-    grid = np.linspace(lo, hi, grid_points)
-    values = _synthesize_level(tables, "phi", coeffs.scaling, grid)
+    spec = (*coeffs.support, grid_points)
+    values = _synthesize_level(tables, "phi", coeffs.scaling, spec)
     for lev in coeffs.details:
         if np.any(lev.values != 0.0):
-            values += _synthesize_level(tables, "psi", lev, grid)
-    return DensityEstimate(grid=grid, values=values)
+            values += _synthesize_level(tables, "psi", lev, spec)
+    return DensityEstimate(grid=np.linspace(*spec), values=values)

@@ -13,7 +13,7 @@ import hashlib
 import math
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -44,6 +44,14 @@ class TargetDensity:
     density: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
     inverse_cdf: Callable[[np.ndarray], np.ndarray]
+    _last: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def on_grid(self, grid: np.ndarray) -> np.ndarray:
+        """density(grid), read-only; the last grid and its values are kept (one entry)."""
+        if not (self._last and np.array_equal(self._last[0], grid)):
+            self._last[:] = [np.array(grid), np.array(self.density(grid), dtype=np.float64)]
+            self._last[1].flags.writeable = False
+        return self._last[1]
 
 
 @dataclass(frozen=True)

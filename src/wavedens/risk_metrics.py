@@ -103,7 +103,7 @@ def lp_distance(estimate: DensityEstimate, truth: TargetDensity, p: float) -> fl
             f"estimate grid [{grid[0]}, {grid[-1]}] does not cover the "
             f"target support [{lo}, {hi}]"
         )
-    diff = np.abs(estimate.values - truth.density(grid))
+    diff = np.abs(estimate.values - truth.on_grid(grid))
     return float(np.trapezoid(diff**p, grid) ** (1.0 / p))
 
 

@@ -130,7 +130,8 @@ class WaveletTables:
     """Sampled phi/psi values on the dyadic grid of step 2**-depth.
 
     phi_values covers the natural support [0, 2N-1] and psi_values [1-N, N].
-    Instances are immutable, equal only to themselves and safe to share.
+    Instances are equal only to themselves and safe to share: the tables are
+    immutable, and grid_residues' cache (one entry per level and grid) only grows.
     """
 
     filter: WaveletFilter
@@ -138,6 +139,7 @@ class WaveletTables:
     phi_values: np.ndarray
     psi_values: np.ndarray
     _polyphase: dict[str, np.ndarray] = field(init=False, repr=False)
+    _grids: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         N, step = self.vanishing_moments, 2**self.depth
@@ -181,6 +183,17 @@ class WaveletTables:
         rho -= (2 * N - 2) * 2**self.depth
         np.clip(rho, 0, 2**self.depth, out=rho)
         return kbase.astype(np.int64), rho
+
+    def grid_residues(self, j: int, lo: float, hi: float, points: int) -> tuple:
+        """residues(j, np.linspace(lo, hi, points)), built once per key, as (k0, rho,
+        counts): kbase never decreases, so counts[i] points have kbase = k0 + i."""
+        key = (j, lo, hi, points)
+        if key not in self._grids:
+            kbase, rho = self.residues(j, np.linspace(lo, hi, points))
+            if np.any(kbase[1:] < kbase[:-1]):
+                raise ValueError(f"grid [{lo}, {hi}] is not increasing")
+            self._grids[key] = (int(kbase[0]), rho, np.bincount(kbase - kbase[0]))
+        return self._grids[key]
 
     def eval(self, kind: str, j: int, k: int, x):
         """Evaluate phi_{j,k} or psi_{j,k} at x (scalar or array).

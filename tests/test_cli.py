@@ -389,6 +389,15 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_module_entry_point_runs_without_warnings():
+    """python -m wavedens.cli: the package root does not import cli, so runpy
+    executes the module once and has nothing to warn about."""
+    env = {**os.environ, "PYTHONPATH": str(Path(wavedens.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "wavedens.cli",
+                           "--help"], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 class TestSimulateCommand:
     def test_writes_expected_files_and_seeds(self, tmp_path):
         out = tmp_path / "runs"

@@ -5,7 +5,8 @@ table at rint((2^j x - k + N - 1) * 2^depth), zero off the table. The kernel
 snaps once per point and reads every tap from one polyphase column, so the two
 agree only while each tap's own rounding lands on the shared residue; these
 tests hold the kernel to that, for level sums, the criterion's plain and
-squared sums, synthesis and pointwise evaluation.
+squared sums, synthesis (through the cached grid residues) and pointwise
+evaluation.
 """
 
 import warnings
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wavedens.cross_validation import _level_stats
-from wavedens.estimator import Sample, _synthesize_level, empirical_coefficients
+from wavedens.estimator import (Sample, _level_lookups, _synthesize_level,
+                                empirical_coefficients)
 from wavedens.wavelet_basis import build_filter, cascade_tables
 
 TABLES = {name: cascade_tables(build_filter(family, N), depth=10)
@@ -106,12 +108,25 @@ def test_level_sums_match_reference(name, rounding):
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_synthesis_matches_reference(name):
-    """Full levels, levels holding a slice of their translates, and -0.0 coefficients."""
-    tables = TABLES[name]
-    x = _samples()["raw"]
-    full = empirical_coefficients(Sample(values=x, support=(0.0, 1.0)), tables, 1, 6)
-    grids = (np.linspace(0.0, 1.0, 4096), np.linspace(0.0, 1.0, 1000))
-    levels = [("phi", full.scaling)] + [("psi", lev) for lev in full.details]
+    """Full levels, levels holding a slice of their translates, and -0.0
+    coefficients, on supports [0, 1], [-0.5, 2] and [0, 4].
+
+    Two grids take turns on one tables object, so each cached grid entry is
+    read again after the other grid's entry of the same level was built.
+    """
+    for support in ((0.0, 1.0), (-0.5, 2.0), (0.0, 4.0)):
+        _assert_synthesis_matches(TABLES[name], support)
+
+
+def _assert_synthesis_matches(tables, support):
+    lo, hi = support
+    x = lo + (hi - lo) * _samples()["raw"]
+    sample = Sample(values=x, support=support)
+    full = empirical_coefficients(sample, tables, 1, 6)
+    grids = ((lo, hi, 4096), (lo, hi, 1000))
+    # at j = 11 the 1000-point grid steps over translates: runs of length 0
+    fine = empirical_coefficients(sample, tables, 11, 11).details
+    levels = [("phi", full.scaling)] + [("psi", lev) for lev in full.details + fine]
     for kind, lev in levels:
         partial = replace(lev, k_min=lev.k_min + 3, values=lev.values[3:-4])
         signed = lev.values.copy()
@@ -119,8 +134,42 @@ def test_synthesis_matches_reference(name):
         for version in (lev, partial, replace(lev, values=signed)):
             for grid in grids:
                 got = _synthesize_level(tables, kind, version, grid)
-                want = _reference_synthesis(tables, kind, version, grid)
-                assert got.tobytes() == want.tobytes(), (kind, lev.j)
+                want = _reference_synthesis(tables, kind, version, np.linspace(*grid))
+                assert got.tobytes() == want.tobytes(), (kind, lev.j, grid)
+    for j in (*range(1, 7), 11):
+        for grid in grids:
+            k0, rho, counts = tables.grid_residues(j, *grid)
+            kbase, want_rho = tables.residues(j, np.linspace(*grid))
+            assert rho.tobytes() == want_rho.tobytes()
+            assert np.repeat(k0 + np.arange(len(counts)), counts).tobytes() == kbase.tobytes()
+
+
+def test_grid_residues_are_built_once_per_level_and_grid():
+    """phi and psi of one level share the entry; another grid gets its own."""
+    tables = replace(TABLES["sym8"])  # a fresh cache
+    sample = Sample(values=_samples()["raw"], support=(0.0, 1.0))
+    coeffs = empirical_coefficients(sample, tables, 3, 3)
+    big, small = (0.0, 1.0, 4096), (0.0, 1.0, 1000)
+    for grid in (big, small, big, small):
+        _synthesize_level(tables, "phi", coeffs.scaling, grid)
+        _synthesize_level(tables, "psi", coeffs.details[0], grid)
+    assert sorted(tables._grids) == [(3, *small), (3, *big)]
+    assert tables.grid_residues(3, *big) is tables._grids[(3, *big)]
+    with pytest.raises(ValueError, match="not increasing"):
+        tables.grid_residues(3, 1.0, 0.0, 64)
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_level_lookup_weights_match_fancy_indexing(name):
+    """The contiguous take gives the weights of poly[:, rho], bit for bit."""
+    tables = TABLES[name]
+    x = _samples()["raw"]
+    sample = Sample(values=x, support=(0.0, 1.0))
+    for kind in ("phi", "psi"):
+        for j in (0, 3, 10):
+            _, _, _, w = _level_lookups(tables, kind, j, sample)
+            _, rho = tables.residues(j, x)
+            assert w.tobytes() == tables.polyphase(kind)[:, rho].ravel().tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))

@@ -66,6 +66,15 @@ class TestLpDistance:
             lp_distance(short, sine_target, 2.0)
 
 
+    def test_truth_memo_keeps_the_last_grid_only(self):
+        truth = _uniform_target()
+        fine, coarse = _flat(1.5), _flat(1.5, np.linspace(0.0, 1.0, 65))
+        for est in (fine, coarse, fine):
+            assert lp_distance(est, truth, 2.0) == pytest.approx(0.5, rel=1e-10)
+            grid, values = truth._last
+            assert np.array_equal(grid, est.grid) and len(values) == len(est.grid)
+
+
 class TestIntegratedMoments:
     def test_flat_first_moment(self):
         value, clamps = integrated_moments([_flat(2.0)], k=1)
@@ -169,6 +178,21 @@ class TestMonteCarloRisk:
                     for m, fit in fits.items()]
         assert [r.to_dict() for r in shared] == [r.to_dict() for r in separate]
         assert [r.method for r in shared] == list(fits)
+
+    def test_truth_is_evaluated_once_per_run(self, sym8_tables):
+        """Every fit of a run shares one grid, so the target density runs once."""
+        calls = []
+
+        def density(x):
+            calls.append(np.size(x))
+            return 1.0 + np.sin(np.pi * np.asarray(x))
+
+        truth = build_target("custom", {"density": density, "support": (0.0, 1.0)})
+        calls.clear()  # building the target tabulates the density
+        spec = ProcessSpec("iid", 256, seed=9, target=truth)
+        fits = {m: make_fit(m, sym8_tables, 256) for m in ("HTCV", "STCV")}
+        monte_carlo_risks(spec, fits, 3, p_list=(1.0, 2.0))
+        assert calls == [256]
 
     def test_unknown_truth_skips_risks(self):
         spec = ProcessSpec("lsv", 64, seed=5, lsv_alpha=0.5)

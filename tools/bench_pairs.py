@@ -1,0 +1,146 @@
+"""Interleaved benchmark pairs: this checkout against a base revision.
+
+    python3 tools/bench_pairs.py --base HEAD~1 --workload mc-acceptance \
+        --pairs 10 --seconds 8 --out BENCH_<n>.json
+
+Exports --base with `git archive` into a temporary directory and runs
+`perfbench/run.py --trace 0` there and in this checkout (the head side, as
+the working tree holds it) one after the other, with the same seed on both
+sides of a pair; every other pair runs the head side first. Writes one JSON
+file with:
+
+- each pair's metrics and head/base ratios, per workload;
+- each side's median and interquartile range of every metric, the median
+  ratio and the count of pairs in which the head side is better;
+- the digests of both sides and whether they agree;
+- the core count, the CPU, and the Python and numpy versions.
+
+Standard library only; run from anywhere inside the repository.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _export(rev: str, dest: Path) -> str:
+    """Write the tree of `rev` under dest; return its commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                            capture_output=True, text=True, check=True).stdout.strip()
+    tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        if hasattr(tarfile, "data_filter"):
+            archive.extractall(dest, filter="data")
+        else:
+            archive.extractall(dest)
+    return commit
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run; returns its full result record."""
+    cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          timeout=seconds * 4 + 600)
+    if proc.returncode != 0:
+        sys.exit(f"bench_pairs: {' '.join(cmd)} failed in {checkout}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    results = checkout / ".bench_build" / "perfbench" / "results"
+    record = json.loads((results / f"{workload}-seed{seed}-trace0.json").read_text())
+    record["correct"] = result["correct"]
+    return record
+
+
+def _spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "iqr": q3 - q1}
+
+
+def _summary(pairs: list[dict], better: dict) -> dict:
+    out = {}
+    for name, direction in better.items():
+        base = [p["base"][name] for p in pairs]
+        head = [p["head"][name] for p in pairs]
+        ratios = [p["ratio"][name] for p in pairs]
+        wins = sum((h > b) if direction == "higher" else (h < b) for b, h in zip(base, head))
+        out[name] = {"better": direction, "base": _spread(base), "head": _spread(head),
+                     "ratio_median": statistics.median(ratios),
+                     "ratio_range": [min(ratios), max(ratios)],
+                     "head_better_pairs": wins}
+    return out
+
+
+def _digests(pairs: list[dict]) -> dict:
+    mismatches = [{"seed": p["seed"], "key": key, "base": p["digests"]["base"].get(key),
+                   "head": p["digests"]["head"].get(key)}
+                  for p in pairs
+                  for key in sorted(set(p["digests"]["base"]) | set(p["digests"]["head"]))
+                  if p["digests"]["base"].get(key) != p["digests"]["head"].get(key)]
+    return {"equal": not mismatches, "mismatches": mismatches,
+            "by_seed": {p["seed"]: p["digests"]["head"] for p in pairs}}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="perfbench workload; repeat for several")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("--pairs must be at least 1 and --seconds positive")
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in declared}
+    report: dict = {"workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        base_dir = Path(tmp) / "base"
+        report["base"] = {"rev": args.base, "commit": _export(args.base, base_dir)}
+        report["head"] = {"rev": "working tree"}
+        for workload in args.workload:
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = ("head", "base") if i % 2 else ("base", "head")
+                runs = {side: _run(base_dir if side == "base" else ROOT, workload,
+                                   seed, args.seconds) for side in order}
+                pairs.append({
+                    "seed": seed, "first": order[0],
+                    "correct": {side: runs[side]["correct"] for side in order},
+                    **{side: runs[side]["metrics"] for side in ("base", "head")},
+                    "ratio": {k: runs["head"]["metrics"][k] / runs["base"]["metrics"][k]
+                              for k in better if runs["base"]["metrics"].get(k)},
+                    "digests": {side: runs[side]["digests"] for side in ("base", "head")},
+                })
+                ratio = pairs[-1]["ratio"].get("items_per_s", float("nan"))
+                print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: "
+                      f"items_per_s head/base = {ratio:.3f}", flush=True)
+            env = runs["head"]["environment"]
+            report["environment"] = {"nproc": os.cpu_count(), "cpu": env["cpu_model"],
+                                     "python": env["python"], "numpy": env["numpy"]}
+            report["workloads"][workload] = {
+                "seconds": args.seconds, "summary": _summary(pairs, better),
+                "digests": _digests(pairs),
+                "pairs": [{k: v for k, v in p.items() if k != "digests"} for p in pairs]}
+    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
