@@ -69,24 +69,52 @@ def _epanechnikov_selfconv(t: np.ndarray) -> np.ndarray:
 
 
 def kernel_estimate(sample: Sample, config: KernelConfig = KernelConfig()) -> DensityEstimate:
-    """f_h(x) = (nh)^-1 sum_i K((x - X_i)/h) on a uniform grid over the support."""
+    """f_h(x) = (nh)^-1 sum_i K((x - X_i)/h) on a uniform grid over the support.
+
+    The grid is taken in blocks of min(64, 2^16 // n) rows, so a block's
+    window spans at most 63 grid steps plus 2 pad. A block evaluates the
+    kernel only on its window: the sorted sample values in
+    [fl(g_first - pad), fl(g_last + pad)], found by two searchsorted calls,
+    with pad = h + 1e-9 (h + s) and s = max(|lo|, |hi|). It writes those
+    values at their sample positions into a zero-filled n-column buffer,
+    sums every full row, and zeroes the written cells again.
+
+    This gives the bits of the dense evaluation of every (grid, sample) pair.
+    For x outside the window and any row g of the block, fl(g_first - pad)
+    and fl(g_last + pad) are within 2^-52 (s + pad) of their exact values, so
+    |g - x| > pad - 2^-52 (s + pad) > h (1 + 1e-10). Then
+    fl(fl(g - x)/h)^2 > 1, where _epanechnikov gives +0.0: the buffer's
+    zero. A window that errs wide only adds columns whose kernel is also
+    computed, so each row holds the dense row's n values in sample order,
+    and rows.sum(axis=1) adds them by the same pairwise tree.
+    """
     if config.bandwidth_rule == "rule_of_thumb":
         h = rule_of_thumb_bandwidth(sample)
     else:
         h = cv_bandwidth(sample)
     grid = np.linspace(*sample.support, config.grid_points)
     values = np.empty(len(grid))
-    x = sample.values
-    # about 2^16 kernel values per block, evaluated in place in one buffer so
-    # they stay in cache; each grid row is still one sum over the whole sample
-    chunk = max(1, 2**16 // max(1, sample.n))
-    buf = np.empty((min(chunk, len(grid)), sample.n))
-    for start in range(0, len(grid), chunk):
+    n = sample.n
+    order = np.argsort(sample.values)
+    xs = sample.values[order]
+    pad = h + 1e-9 * (h + max(abs(grid[0]), abs(grid[-1])))
+    chunk = max(1, min(64, 2**16 // n))
+    starts = np.arange(0, len(grid), chunk)
+    lows = np.searchsorted(xs, grid[starts] - pad, side="left")
+    highs = np.searchsorted(xs, grid[np.minimum(starts + chunk, len(grid)) - 1] + pad,
+                            side="right")
+    rows = np.zeros((min(chunk, len(grid)), n))
+    cells = rows.reshape(-1)
+    row_offsets = np.arange(len(rows))[:, None] * n
+    for start, lo, hi in zip(starts.tolist(), lows.tolist(), highs.tolist()):
         g = grid[start:start + chunk]
-        u = np.subtract(g[:, None], x, out=buf[:len(g)])
+        u = np.subtract(g[:, None], xs[lo:hi])
         u /= h
-        values[start:start + chunk] = _epanechnikov(u, out=u).sum(axis=1)
-    values /= sample.n * h
+        flat = row_offsets[:len(g)] + order[lo:hi]
+        cells[flat] = _epanechnikov(u, out=u)
+        values[start:start + chunk] = rows[:len(g)].sum(axis=1)
+        cells[flat] = 0.0
+    values /= n * h
     return DensityEstimate(grid=grid, values=values)
 
 

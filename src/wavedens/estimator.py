@@ -141,7 +141,7 @@ class DensityEstimate:
         steps = np.diff(self.grid)
         if len(self.grid) < 2 or steps.min() <= 0:
             raise ValueError("grid must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
+        if not np.abs(steps - steps[0]).max() <= 1e-9 * abs(steps[0]):
             raise ValueError("grid must be uniform")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("estimate contains non-finite values")

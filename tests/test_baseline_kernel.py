@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wavedens import baseline_kernel
 from wavedens.baseline_kernel import (KernelConfig, cv_bandwidth,
                                       kernel_estimate, lscv_score,
                                       rule_of_thumb_bandwidth)
@@ -263,6 +264,43 @@ class TestKernelEstimate:
             assert np.array_equal(est.values,
                                   dense_rows(est, s.values, rule_of_thumb_bandwidth(s)))
             assert not np.any(np.signbit(est.values))
+
+    @pytest.mark.parametrize("points", [64, 4097])
+    @pytest.mark.parametrize("case", ["window_edges", "shifted", "narrow", "ties",
+                                      "wider_than_support", "n4", "n4096"])
+    def test_windowed_blocks_match_the_dense_evaluation(self, monkeypatch, case, points):
+        """Each grid block evaluates the kernel only on the sample points inside
+        its window; the estimate equals the dense evaluation of every
+        (grid, sample) pair bit for bit, with no -0.0. The bandwidth rule is
+        replaced by a fixed h per case:
+        - window_edges: h = 0.25 on [0, 1] with dyadic points, so on the
+          4097-point grid some g - x are exactly +-h, plus a point h - 2^-40
+          below and above each grid point, which a window narrower than
+          h (1 - 1e-9) would drop;
+        - shifted and narrow supports, [-3, 5] and [2, 2.5];
+        - ties from rounding to 2 decimals;
+        - h = h_rot/10, and h wider than the support;
+        - n = 4 and n = 4096 (blocks of 64 and of 16 rows).
+        4097 points leave a partial last block for every n here."""
+        rng = np.random.default_rng(7)
+        lo, hi = {"shifted": (-3.0, 5.0), "narrow": (2.0, 2.5)}.get(case, (0.0, 1.0))
+        unit = {"n4": np.array([0.1, 0.35, 0.6, 0.9]), "n4096": rng.beta(2, 3, 4096),
+                "ties": np.round(rng.random(1024), 2)}.get(case, rng.beta(2, 3, 1024))
+        x = lo + (hi - lo) * unit
+        if case == "window_edges":
+            grid = np.linspace(lo, hi, points)
+            near = np.concatenate((grid - 0.25 + 2.0**-40, grid + 0.25 - 2.0**-40))
+            x = np.concatenate((np.arange(65) / 64.0, near[(near >= lo) & (near <= hi)]))
+        s = Sample(values=x, support=(lo, hi))
+        h_rot = rule_of_thumb_bandwidth(s)
+        h = {"window_edges": 0.25, "narrow": h_rot / 10.0, "n4096": h_rot / 10.0,
+             "wider_than_support": 3.0 * (hi - lo)}.get(case, h_rot)
+        monkeypatch.setattr(baseline_kernel, "rule_of_thumb_bandwidth", lambda _: h)
+        est = kernel_estimate(s, KernelConfig("rule_of_thumb", grid_points=points))
+        dense = [_epa((est.grid[a:a + 256, None] - x[None, :]) / h).sum(axis=1)
+                 for a in range(0, points, 256)]
+        assert np.array_equal(est.values, np.concatenate(dense) / (len(x) * h))
+        assert not np.any(np.signbit(est.values))
 
     def test_grid_spans_support(self, rng):
         s = _sample(rng, 20)

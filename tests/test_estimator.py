@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from wavedens.estimator import (Sample, ThresholdPlan, apply_plan,
+from wavedens.estimator import (DensityEstimate, Sample, ThresholdPlan, apply_plan,
                                 empirical_coefficients, hard_threshold,
                                 reconstruct, soft_threshold, theoretical_plan)
 
@@ -45,6 +45,26 @@ class TestSample:
 
     def test_n(self):
         assert Sample(values=np.array([0.1, 0.5, 0.9]), support=(0.0, 1.0)).n == 3
+
+
+class TestDensityEstimate:
+    @pytest.mark.parametrize("support", [(0.0, 1.0), (-3.0, 5.0), (2.0, 2.5), (100.0, 101.0)])
+    @pytest.mark.parametrize("points", [64, 4096, 4097])
+    def test_accepts_linspace_grids(self, support, points):
+        grid = np.linspace(*support, points)
+        assert DensityEstimate(grid=grid, values=np.ones(points)).grid is grid
+
+    @pytest.mark.parametrize("off, uniform", [(2e-9, False), (-2e-9, False), (5e-10, True)])
+    def test_one_step_off_by_a_relative_amount(self, off, uniform):
+        """Moving one point by `off` steps changes two steps by that relative
+        amount; more than 1e-9 is refused."""
+        grid = np.linspace(0.0, 1.0, 101)
+        grid[50] += off * (grid[1] - grid[0])
+        if uniform:
+            DensityEstimate(grid=grid, values=np.ones(101))
+        else:
+            with pytest.raises(ValueError, match="grid must be uniform"):
+                DensityEstimate(grid=grid, values=np.ones(101))
 
 
 class TestEmpiricalCoefficients:

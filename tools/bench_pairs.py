@@ -13,6 +13,8 @@ file with:
 - each side's median and interquartile range of every metric, the median
   ratio and the count of pairs in which the head side is better;
 - the digests of both sides and whether they agree;
+- each side's Tier-1 run (`pytest -q --durations=10` with ./src on the
+  path): its wall time, its result line and its ten slowest tests;
 - the core count, the CPU, and the Python and numpy versions.
 
 Standard library only; run from anywhere inside the repository.
@@ -24,11 +26,13 @@ import argparse
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +65,35 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     record = json.loads((results / f"{workload}-seed{seed}-trace0.json").read_text())
     record["correct"] = result["correct"]
     return record
+
+
+def _tier1(checkout: Path) -> dict:
+    """The Tier-1 suite in `checkout`: wall time, result line, ten slowest tests.
+
+    A failing test does not stop the benchmark: its count is in the result
+    line, which this records as pytest prints it.
+    """
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "--durations=10", "-p", "no:cacheprovider"]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                          timeout=3600)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    first = next((i + 1 for i, line in enumerate(lines) if "slowest" in line), len(lines))
+    slowest = []
+    for line in lines[first:]:
+        m = re.match(r"^(\d+(?:\.\d+)?)s (\w+) +(.+)$", line)
+        if not m:
+            break
+        slowest.append({"seconds": float(m[1]), "phase": m[2], "test": m[3]})
+    result = next((line.strip("= ") for line in reversed(lines)
+                   if re.search(r"\d+ (passed|failed|error)", line)), None)
+    if result is None:
+        sys.exit(f"bench_pairs: no pytest result line in {checkout}:\n{proc.stdout}{proc.stderr}")
+    return {"wall_s": wall, "exit_code": proc.returncode, "result": result,
+            "slowest": slowest}
 
 
 def _spread(values: list[float]) -> dict:
@@ -112,6 +145,10 @@ def main() -> int:
         base_dir = Path(tmp) / "base"
         report["base"] = {"rev": args.base, "commit": _export(args.base, base_dir)}
         report["head"] = {"rev": "working tree"}
+        for side, checkout in (("base", base_dir), ("head", ROOT)):
+            report[side]["tier1"] = _tier1(checkout)
+            print(f"tier-1 {side}: {report[side]['tier1']['result']}, "
+                  f"{report[side]['tier1']['wall_s']:.1f} s wall", flush=True)
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
