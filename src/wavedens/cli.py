@@ -23,7 +23,7 @@ from .baseline_kernel import KernelConfig, kernel_estimate
 from .cross_validation import fit_cv
 from .estimator import (Sample, apply_plan, empirical_coefficients,
                         reconstruct, theoretical_plan)
-from .processes import ProcessSpec, build_target, derived_seed, simulate
+from .processes import CASE_FIELDS, ProcessSpec, build_target, derived_seed, simulate
 from .risk_metrics import Fit, covariance_decay, monte_carlo_risks
 from .wavelet_basis import WaveletTables, build_filter, cascade_tables
 
@@ -79,8 +79,11 @@ class ExperimentConfig:
         for block in self.cases:
             if not isinstance(block, dict) or type(block.get("case")) is not str:
                 raise ConfigError(f"case block must be an object with a str 'case' key: {block!r}")
-            # an unknown case has no key set; building it below names the case
-            bad = set(block) - _CASE_KEYS.get(block["case"], set(block))
+            # a block holds its case's fields, with target_params beside a target;
+            # an unknown case passes here, and building it below names the case
+            reads = CASE_FIELDS.get(block["case"], tuple(block))
+            keys = {"case", *reads} | ({"target_params"} if "target" in reads else set())
+            bad = set(block) - keys
             if bad:
                 raise ConfigError(f"unknown case keys {sorted(bad)} for case "
                                   f"{block['case']!r} in {block!r}")
@@ -156,10 +159,10 @@ class ExperimentConfig:
 
     def process_spec(self, block: dict, n: int) -> ProcessSpec:
         """The block's regime at size n; every case block is built here at load."""
-        reads = _CASE_KEYS.get(block["case"], ())
-        kwargs = {"lsv_alpha": block.get("lsv_alpha", 0.5)} if "lsv_alpha" in reads else {}
-        if "ar_depth" in block:
-            kwargs["ar_depth"] = block["ar_depth"]
+        reads = CASE_FIELDS.get(block["case"], ())
+        kwargs = {name: block[name] for name in reads if name in block}
+        if "lsv_alpha" in reads:
+            kwargs.setdefault("lsv_alpha", 0.5)
         if "target" in reads:
             kwargs["target"] = build_target(block.get("target", "sine_uniform_mixture"),
                                             block.get("target_params"))
@@ -167,11 +170,6 @@ class ExperimentConfig:
 
 
 _WAVELET_DEFAULTS = {"family": "symmlet", "N": 8, "depth": 10}
-# The keys each case reads.
-_CASE_KEYS = {"iid": {"case", "target", "target_params"},
-              "logistic_map": {"case", "target", "target_params"},
-              "noncausal_ar": {"case", "target", "target_params", "ar_depth"},
-              "lsv": {"case", "lsv_alpha"}}
 _DECAY_KEYS = {"j", "k", "n", "max_lag"}
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 

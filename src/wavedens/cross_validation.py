@@ -255,7 +255,6 @@ def fit_cv(sample: Sample, tables: WaveletTables, mode: str = "HTCV",
     if "phi" not in record:
         record["phi"] = empirical_coefficients(sample, tables, j0, j0 - 1).scaling
     coeffs = CoefficientSet(
-        j0=j0,
         scaling=record["phi"],
         details=tuple(_cv_level(sample, tables, j).coeffs for j in range(j0, j1_hat + 1)),
         support=sample.support,

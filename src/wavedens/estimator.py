@@ -82,21 +82,20 @@ class CoefficientLevel:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Scaling coefficients at j0 plus detail levels j0..jmax.
+    """Scaling coefficients at j0 = scaling.j plus detail levels j0..jmax.
 
     `details` is ordered by level; it may be empty for a pure scaling-level
     projection. Only translates whose support meets the sample support are
     stored.
     """
 
-    j0: int
     scaling: CoefficientLevel
     details: tuple[CoefficientLevel, ...]
     support: tuple[float, float]
 
     @property
     def jmax(self) -> int:
-        return self.details[-1].j if self.details else self.j0 - 1
+        return self.details[-1].j if self.details else self.scaling.j - 1
 
     def detail(self, j: int) -> CoefficientLevel:
         for lev in self.details:
@@ -207,7 +206,6 @@ def empirical_coefficients(sample: Sample, tables: WaveletTables,
         return CoefficientLevel(j=j, k_min=k_min, values=2.0 ** (j / 2) * S / sample.n)
 
     return CoefficientSet(
-        j0=j0,
         scaling=level("phi", j0),
         details=tuple(level("psi", j) for j in range(j0, jmax + 1)),
         support=sample.support,

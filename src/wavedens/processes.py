@@ -13,7 +13,7 @@ import hashlib
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,9 @@ __all__ = [
     "derived_seed",
 ]
 
-_CASES = ("iid", "logistic_map", "noncausal_ar", "lsv")
+# The ProcessSpec fields each case reads; the lsv map alone has no known density.
+CASE_FIELDS = {"iid": ("target",), "logistic_map": ("target",),
+               "noncausal_ar": ("target", "ar_depth"), "lsv": ("lsv_alpha",)}
 # The params each target kind reads; build_target rejects any other key.
 _TARGET_PARAMS = {"sine_uniform_mixture": set(), "custom": {"density", "support"},
                   "gaussian_mixture": {"means", "sds", "weights", "support"}}
@@ -56,7 +58,7 @@ class TargetDensity:
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """One sampling regime; the lsv map alone has no known density, so no target."""
+    """One sampling regime; a field its case does not read must keep its default."""
 
     case: str
     n: int
@@ -66,15 +68,17 @@ class ProcessSpec:
     ar_depth: int = 200
 
     def __post_init__(self):
-        if self.case not in _CASES:
-            raise ValueError(f"unknown case {self.case!r}, expected one of {_CASES}")
+        if self.case not in CASE_FIELDS:
+            raise ValueError(f"unknown case {self.case!r}, expected one of {tuple(CASE_FIELDS)}")
+        for f in fields(self):
+            unread = f.name not in ("case", "n", "seed", *CASE_FIELDS[self.case])
+            if unread and getattr(self, f.name) != f.default:
+                raise ValueError(f"case {self.case!r} takes no {f.name}")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.case == "lsv":
             if self.lsv_alpha is None or not 0 < self.lsv_alpha < 1:
                 raise ValueError("lsv case needs lsv_alpha in (0, 1)")
-            if self.target is not None:
-                raise ValueError("lsv case has no known density and takes no target")
         elif self.target is None:
             raise ValueError(f"case {self.case!r} needs a target density")
         if type(self.ar_depth) is not int or self.ar_depth < 1:

@@ -10,6 +10,7 @@ from wavedens.baseline_kernel import (KernelConfig, cv_bandwidth,
                                       rule_of_thumb_bandwidth)
 from wavedens.baseline_kernel import (_epanechnikov, _epanechnikov_selfconv,
                                       _lscv_scores)
+from wavedens.cli import make_fit
 from wavedens.estimator import Sample
 from wavedens.processes import ProcessSpec, build_target, simulate
 
@@ -245,9 +246,11 @@ class TestKernelEstimate:
     def test_in_place_kernel_matches_the_dense_formula_at_its_edge(self, rng):
         """Dyadic points with h = 0.25 put some g - x at exactly +-h (|u| = 1),
         where the clipped polynomial meets the zero branch: there the in-place
-        kernel equals the dense np.where. The estimate at h_rot, on the dyadic
-        sample and at the benchmark's size (n = 1024 on 4096 points), equals
-        the dense np.where rows bit for bit, with no -0.0 anywhere."""
+        kernel equals the dense np.where. The estimate at h_rot and at the CV
+        bandwidth, on the dyadic sample and at the benchmark's size (n = 1024
+        on 4096 points, uniform and lsv alpha = 0.5), equals the dense np.where
+        rows bit for bit, with no -0.0 anywhere; the kernel-cv method returns
+        the same estimate."""
         def dense_rows(est, x, h):
             rows = [_epa((est.grid[a:a + 256, None] - x[None, :]) / h).sum(axis=1)
                     for a in range(0, len(est.grid), 256)]
@@ -259,11 +262,18 @@ class TestKernelEstimate:
         k = _epanechnikov(u)
         assert np.array_equal(k, _epa(u)) and not np.any(np.signbit(k))
         wide = _sample(rng, 1024)
-        for s, points in ((dyadic, 129), (wide, 4096)):
-            est = kernel_estimate(s, KernelConfig("rule_of_thumb", grid_points=points))
-            assert np.array_equal(est.values,
-                                  dense_rows(est, s.values, rule_of_thumb_bandwidth(s)))
-            assert not np.any(np.signbit(est.values))
+        lsv = simulate(ProcessSpec(case="lsv", n=1024, seed=5, lsv_alpha=0.5))
+        for s, points in ((dyadic, 129), (wide, 4096), (lsv, 4096)):
+            for rule, bandwidth in (("rule_of_thumb", rule_of_thumb_bandwidth),
+                                    ("cv", cv_bandwidth)):
+                est = kernel_estimate(s, KernelConfig(rule, grid_points=points))
+                assert np.array_equal(est.values, dense_rows(est, s.values, bandwidth(s)))
+                assert not np.any(np.signbit(est.values))
+        # est is the last estimate of the loop: lsv at the CV bandwidth; the
+        # kernel methods read no tables
+        fit = make_fit("kernel-cv", None, 4096)(lsv)
+        assert np.array_equal(fit.estimate.grid, est.grid)
+        assert np.array_equal(fit.estimate.values, est.values)
 
     @pytest.mark.parametrize("points", [64, 4097])
     @pytest.mark.parametrize("case", ["window_edges", "shifted", "narrow", "ties",

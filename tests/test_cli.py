@@ -172,6 +172,9 @@ class TestLoadConfig:
         # the case name keys the per-case key check, so it must be a string
         pytest.param("cases", [{"case": ["iid"]}], "str 'case' key",
                      id="cases-value47-str 'case' key"),
+        # a list field given one value is refused, never wrapped
+        pytest.param("methods", "HTCV", "methods must be list",
+                     id="methods-scalar-methods must be list"),
     ])
     def test_field_validation(self, tmp_path, field, value, hint):
         out = tmp_path / "runs"
@@ -364,6 +367,17 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "bad.csv:3" in err and "banana" in err
+        assert not out.exists()
+
+    def test_empty_sample_maps_to_3(self, tmp_path, capsys):
+        """A file with the header alone holds no sample, so nothing is fitted."""
+        sample = tmp_path / "empty.csv"
+        sample.write_text("x\n\n")
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "fit", "--sample", str(sample),
+                     "--method", "kernel-rot"])
+        assert code == 3
+        assert "no sample values found" in capsys.readouterr().err
         assert not out.exists()
 
     def test_degenerate_schedule_maps_to_3(self, tmp_path, capsys):

@@ -83,6 +83,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="takes no target"):
             ProcessSpec("lsv", 100, seed=1, target=sine_target, lsv_alpha=0.5)
 
+    @pytest.mark.parametrize("case,field,value", [
+        ("iid", "lsv_alpha", 0.3),
+        ("lsv", "ar_depth", 7),
+        ("logistic_map", "ar_depth", 7),
+        ("noncausal_ar", "lsv_alpha", 0.5),
+    ])
+    def test_unread_field_is_refused(self, sine_target, case, field, value):
+        """A field the case does not read would change nothing, so it is refused."""
+        kwargs = {"lsv_alpha": 0.5} if case == "lsv" else {"target": sine_target}
+        with pytest.raises(ValueError, match=f"case '{case}' takes no {field}"):
+            ProcessSpec(case, 64, seed=1, **kwargs, **{field: value})
+
     def test_bad_depth(self, sine_target):
         """The depth is a sweep count: zero, a fraction or a bool is refused."""
         for depth in (0, 2.5, True):

@@ -1,13 +1,14 @@
 """Interleaved benchmark pairs: this checkout against a base revision.
 
     python3 tools/bench_pairs.py --base HEAD~1 --workload mc-acceptance \
-        --pairs 10 --seconds 8 --out BENCH_<n>.json
+        --pairs 10 --out BENCH_<n>.json
 
 Exports --base with `git archive` into a temporary directory and runs
 `perfbench/run.py --trace 0` there and in this checkout (the head side, as
 the working tree holds it) one after the other, with the same seed on both
-sides of a pair; every other pair runs the head side first. Writes one JSON
-file with:
+sides of a pair; every other pair runs the head side first. Each run lasts
+`run_seconds` from BENCHMARK.json, the length the benchmark itself runs, as
+perfbench/stability.py defaults to. Writes one JSON file with:
 
 - each pair's metrics and head/base ratios, per workload;
 - each side's median and interquartile range of every metric, the median
@@ -131,15 +132,15 @@ def main() -> int:
     parser.add_argument("--workload", action="append", required=True,
                         help="perfbench workload; repeat for several")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs must be at least 1 and --seconds positive")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    better = {m["name"]: m["better"] for m in declared}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     report: dict = {"workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         base_dir = Path(tmp) / "base"
@@ -155,7 +156,7 @@ def main() -> int:
                 seed = args.seed + i
                 order = ("head", "base") if i % 2 else ("base", "head")
                 runs = {side: _run(base_dir if side == "base" else ROOT, workload,
-                                   seed, args.seconds) for side in order}
+                                   seed, seconds) for side in order}
                 pairs.append({
                     "seed": seed, "first": order[0],
                     "correct": {side: runs[side]["correct"] for side in order},
@@ -171,7 +172,7 @@ def main() -> int:
             report["environment"] = {"nproc": os.cpu_count(), "cpu": env["cpu_model"],
                                      "python": env["python"], "numpy": env["numpy"]}
             report["workloads"][workload] = {
-                "seconds": args.seconds, "summary": _summary(pairs, better),
+                "seconds": seconds, "summary": _summary(pairs, better),
                 "digests": _digests(pairs),
                 "pairs": [{k: v for k, v in p.items() if k != "digests"} for p in pairs]}
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
