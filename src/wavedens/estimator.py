@@ -9,7 +9,10 @@ Both the level sums and the synthesis read the wavelet tables through their
 polyphase form (WaveletTables.polyphase): one residue per point, then one
 gather per tap. A level sum is one np.bincount over the tap-major (2N, n)
 index array; a synthesis adds the 2N taps in turn, each a run-length fill (np.repeat)
-of coefficients over the grid's runs, cached by WaveletTables.grid_residues.
+of coefficients over the grid's runs times that tap's weights on the grid. The
+runs and weights depend only on (kind, level, grid), so WaveletTables.grid_weights
+builds them once per tables object and keeps them: 2N * points * 8 bytes per
+entry, 512 KiB for sym8 on the 4096-point grid.
 """
 
 from __future__ import annotations
@@ -170,24 +173,28 @@ def _level_lookups(tables: WaveletTables, kind: str, j: int,
 def _synthesize_level(tables: WaveletTables, kind: str, lev: CoefficientLevel,
                       grid: tuple[float, float, int]) -> np.ndarray:
     """sum_k c_k * (phi|psi)_{j,k}(x) for one coefficient level, x the points of
-    np.linspace(*grid). Tap t reads c[k0 + i + t] over the i-th run of points.
+    np.linspace(*grid). Tap t reads c[k0 + i + t] over the i-th run of points
+    times the tap's weights, which grid_weights keeps per (kind, level, grid)
+    on the tables object: 2N * points * 8 bytes, shared by every later fit.
 
     A level that stores only a slice of its translates is padded with zero
     coefficients to every translate a tap reaches. A zero coefficient or a
     tap off the table adds +-0.0, which leaves out as it is: out starts at
     +0.0, so it never holds -0.0.
     """
-    poly = tables.polyphase(kind)
-    k0, rho, counts = tables.grid_residues(lev.j, *grid)
+    k0, weights, counts = tables.grid_weights(kind, lev.j, *grid)
     first, m = k0 - lev.k_min, len(counts)
     left = max(0, -first)
-    c = np.zeros(left + max(len(lev.values), first + m - 1 + len(poly)))
+    c = np.zeros(left + max(len(lev.values), first + m - 1 + len(weights)))
     c[left:left + len(lev.values)] = lev.values
     first += left
-    out = np.zeros(len(rho))
-    for t, row in enumerate(poly):
-        out += np.repeat(c[first + t:first + t + m], counts) * row[rho]
-    return out * 2.0 ** (lev.j / 2)
+    out = np.zeros(weights.shape[1])
+    for t, w in enumerate(weights):
+        tmp = c[first + t:first + t + m].repeat(counts)
+        tmp *= w
+        out += tmp
+    out *= 2.0 ** (lev.j / 2)
+    return out
 
 
 def empirical_coefficients(sample: Sample, tables: WaveletTables,

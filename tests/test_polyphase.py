@@ -159,6 +159,44 @@ def test_grid_residues_are_built_once_per_level_and_grid():
         tables.grid_residues(3, 1.0, 0.0, 64)
 
 
+def test_grid_residues_are_read_only():
+    """Every later fit shares the cached residues and run lengths."""
+    _, rho, counts = replace(TABLES["sym8"]).grid_residues(3, 0.0, 1.0, 4096)
+    for arr in (rho, counts):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_grid_weights_are_built_once_per_kind_level_and_grid():
+    """phi and psi of one level get their own weights, and so does another grid.
+
+    The weights are polyphase(kind)[:, rho] byte for byte and read-only, and a
+    synthesis gives the same bytes from a cold cache and a warm one.
+    """
+    tables = replace(TABLES["sym8"])  # fresh caches
+    sample = Sample(values=_samples()["raw"], support=(0.0, 1.0))
+    coeffs = empirical_coefficients(sample, tables, 3, 3)
+    big, small = (0.0, 1.0, 4096), (0.0, 1.0, 1000)
+    cold = {}
+    for grid in (big, small, big, small):
+        for kind, lev in (("phi", coeffs.scaling), ("psi", coeffs.details[0])):
+            got = _synthesize_level(tables, kind, lev, grid).tobytes()
+            assert cold.setdefault((kind, grid), got) == got, (kind, grid)
+    assert sorted(tables._weights) == [(kind, 3, *grid) for kind in ("phi", "psi")
+                                       for grid in (small, big)]
+    for kind in ("phi", "psi"):
+        for grid in (big, small):
+            entry = tables.grid_weights(kind, 3, *grid)
+            assert tables.grid_weights(kind, 3, *grid) is entry
+            k0, weights, counts = entry
+            grid_k0, rho, grid_counts = tables.grid_residues(3, *grid)
+            assert k0 == grid_k0 and counts is grid_counts
+            assert weights.shape == (16, grid[2])
+            assert weights.tobytes() == tables.polyphase(kind)[:, rho].tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_level_lookup_weights_match_fancy_indexing(name):
     """The contiguous take gives the weights of poly[:, rho], bit for bit."""

@@ -3,12 +3,14 @@
     python3 tools/bench_pairs.py --base HEAD~1 --workload mc-acceptance \
         --pairs 10 --out BENCH_<n>.json
 
-Exports --base with `git archive` into a temporary directory and runs
-`perfbench/run.py --trace 0` there and in this checkout (the head side, as
-the working tree holds it) one after the other, with the same seed on both
-sides of a pair; every other pair runs the head side first. Each run lasts
-`run_seconds` from BENCHMARK.json, the length the benchmark itself runs, as
-perfbench/stability.py defaults to. Writes one JSON file with:
+Exports --base with `git archive` into a temporary directory, copies the
+working tree (tracked files and untracked files that are not ignored, as the
+working tree holds them) into another, and runs `perfbench/run.py --trace 0`
+in the two one after the other, with the same seed on both sides of a pair;
+every other pair runs the head side first. Both sides start from a fresh
+directory, so neither reads build output or results left by earlier runs.
+Each run lasts `run_seconds` from BENCHMARK.json, the length the benchmark
+itself runs, as perfbench/stability.py defaults to. Writes one JSON file with:
 
 - each pair's metrics and head/base ratios, per workload;
 - each side's median and interquartile range of every metric, the median
@@ -28,6 +30,7 @@ import io
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,6 +54,18 @@ def _export(rev: str, dest: Path) -> str:
         else:
             archive.extractall(dest)
     return commit
+
+
+def _copy_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked and non-ignored untracked files under dest."""
+    listing = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                              "--exclude-standard"], cwd=ROOT, capture_output=True,
+                             check=True).stdout
+    for name in listing.decode().split("\0"):
+        src = ROOT / name
+        if name and src.is_file():  # a tracked file deleted in the tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -143,10 +158,11 @@ def main() -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     report: dict = {"workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        base_dir = Path(tmp) / "base"
-        report["base"] = {"rev": args.base, "commit": _export(args.base, base_dir)}
+        dirs = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
+        report["base"] = {"rev": args.base, "commit": _export(args.base, dirs["base"])}
         report["head"] = {"rev": "working tree"}
-        for side, checkout in (("base", base_dir), ("head", ROOT)):
+        _copy_worktree(dirs["head"])
+        for side, checkout in dirs.items():
             report[side]["tier1"] = _tier1(checkout)
             print(f"tier-1 {side}: {report[side]['tier1']['result']}, "
                   f"{report[side]['tier1']['wall_s']:.1f} s wall", flush=True)
@@ -155,8 +171,7 @@ def main() -> int:
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = ("head", "base") if i % 2 else ("base", "head")
-                runs = {side: _run(base_dir if side == "base" else ROOT, workload,
-                                   seed, seconds) for side in order}
+                runs = {side: _run(dirs[side], workload, seed, seconds) for side in order}
                 pairs.append({
                     "seed": seed, "first": order[0],
                     "correct": {side: runs[side]["correct"] for side in order},
