@@ -43,6 +43,7 @@ class ExperimentConfig:
     """One experiment: sampling regimes x methods x sample sizes.
 
     The annotations are the config's JSON types, which load_config enforces.
+    A degenerate theoretical schedule is refused here, before any output.
     """
 
     experiment: str
@@ -111,6 +112,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        if any(m.startswith("theoretical") for m in self.methods):
+            for n in self.n:  # the schedule depends on (n, N, b, K) alone
+                try:
+                    theoretical_plan(n, self.wavelet["N"], b=self.b, K=self.K)
+                except ValueError as exc:
+                    raise ConfigError(f"theoretical schedule at n={n}, b={self.b}, "
+                                      f"K={self.K}: {exc}") from exc
         self.decay_settings  # resolve and check the decay block at load
 
     def sha256(self) -> str:
@@ -137,21 +145,6 @@ class ExperimentConfig:
                 raise ConfigError(f"decay.{key} is invalid: {d[key]!r} (need integers "
                                   "j >= 0, k, n >= 8 and max_lag in [1, n/4])")
         return d
-
-    def check_schedules(self) -> None:
-        """Build the theoretical schedule at every n if a theoretical method is listed.
-
-        It depends on (n, N, b, K) alone, so each config command runs this
-        before any output; load_config does not, so any config still hashes.
-        """
-        if not any(m.startswith("theoretical") for m in self.methods):
-            return
-        for n in self.n:
-            try:
-                theoretical_plan(n, self.wavelet["N"], b=self.b, K=self.K)
-            except ValueError as exc:
-                raise ConfigError(f"theoretical schedule at n={n}, b={self.b}, "
-                                  f"K={self.K}: {exc}") from exc
 
     def tables(self) -> WaveletTables:
         w = self.wavelet
@@ -205,10 +198,10 @@ def load_config(path: str, seed: int | None = None,
                 out: str | None = None) -> ExperimentConfig:
     """Parse and validate a JSON config, applying the CLI overrides.
 
-    --seed/--out replace the config values before validation. A seed
-    override changes the config hash; out is excluded from it, as is
-    `threads`, which is still checked (>= 1) but ignored: replicates run in
-    order on one thread.
+    --seed/--out replace the config values before validation, which refuses
+    a degenerate theoretical schedule too. A seed override changes the config
+    hash; out is excluded from it, as is `threads`, which is still checked
+    (>= 1) but ignored: replicates run in order on one thread.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -336,9 +329,7 @@ def _need_config(ctx) -> ExperimentConfig:
     opts = ctx.obj
     if opts["config"] is None:
         raise click.UsageError("this command needs --config PATH")
-    cfg = load_config(opts["config"], seed=opts["seed"], out=opts["out"])
-    cfg.check_schedules()
-    return cfg
+    return load_config(opts["config"], seed=opts["seed"], out=opts["out"])
 
 
 def _case_labels(cases: tuple[dict, ...]) -> list[str]:

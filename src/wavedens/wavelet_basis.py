@@ -131,10 +131,10 @@ class WaveletTables:
 
     phi_values covers the natural support [0, 2N-1] and psi_values [1-N, N].
     Instances are equal only to themselves and safe to share: the tables are
-    immutable, and the two grid caches only grow. grid_residues keeps one entry
-    per (level, grid); grid_weights keeps one read-only (2N, points) weight array
-    per (kind, level, grid), 2N * points * 8 bytes: 512 KiB for sym8 on a
-    4096-point grid, six entries (phi at j0, psi at j0..5) in an n = 1024 fit.
+    immutable, and the grid cache only grows. grid_weights keeps one read-only
+    (2N, points) weight array per (kind, level, grid), 2N * points * 8 bytes:
+    512 KiB for sym8 on a 4096-point grid, six entries (phi at j0, psi at
+    j0..5) in an n = 1024 fit.
     """
 
     filter: WaveletFilter
@@ -142,7 +142,6 @@ class WaveletTables:
     phi_values: np.ndarray
     psi_values: np.ndarray
     _polyphase: dict[str, np.ndarray] = field(init=False, repr=False)
-    _grids: dict = field(default_factory=dict, init=False, repr=False)
     _weights: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -188,30 +187,22 @@ class WaveletTables:
         np.clip(rho, 0, 2**self.depth, out=rho)
         return kbase.astype(np.int64), rho
 
-    def grid_residues(self, j: int, lo: float, hi: float, points: int) -> tuple:
-        """residues(j, np.linspace(lo, hi, points)), built once per key, as (k0, rho,
-        counts): kbase never decreases, so counts[i] points have kbase = k0 + i.
-        rho and counts are read-only, since every later caller shares them."""
-        key = (j, lo, hi, points)
-        if key not in self._grids:
+    def grid_weights(self, kind: str, j: int, lo: float, hi: float, points: int) -> tuple:
+        """The tap weights of np.linspace(lo, hi, points) at level j, as (k0,
+        weights, counts): with kbase, rho = residues(j, grid), kbase never
+        decreases, so counts[i] points have kbase = k0 + i, and weights is the
+        (2N, points) array polyphase(kind)[:, rho]. Built once per (kind, level,
+        grid); weights and counts are read-only, since every later caller shares
+        them."""
+        key = (kind, j, lo, hi, points)
+        if key not in self._weights:
             kbase, rho = self.residues(j, np.linspace(lo, hi, points))
             if np.any(kbase[1:] < kbase[:-1]):
                 raise ValueError(f"grid [{lo}, {hi}] is not increasing")
             counts = np.bincount(kbase - kbase[0])
-            rho.flags.writeable = counts.flags.writeable = False
-            self._grids[key] = (int(kbase[0]), rho, counts)
-        return self._grids[key]
-
-    def grid_weights(self, kind: str, j: int, lo: float, hi: float, points: int) -> tuple:
-        """grid_residues(j, lo, hi, points) with rho replaced by the tap weights
-        polyphase(kind)[:, rho], as (k0, weights, counts): weights is a read-only
-        (2N, points) array, built once per (kind, level, grid)."""
-        key = (kind, j, lo, hi, points)
-        if key not in self._weights:
-            k0, rho, counts = self.grid_residues(j, lo, hi, points)
             weights = self.polyphase(kind).take(rho, axis=1)
-            weights.flags.writeable = False
-            self._weights[key] = (k0, weights, counts)
+            weights.flags.writeable = counts.flags.writeable = False
+            self._weights[key] = (int(kbase[0]), weights, counts)
         return self._weights[key]
 
     def eval(self, kind: str, j: int, k: int, x):

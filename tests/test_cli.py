@@ -24,6 +24,16 @@ DATA = Path(__file__).parent / "data"
 
 MINIMAL = {"experiment": "unit", "cases": [{"case": "iid"}]}
 
+# a config that sets most fields; its theoretical schedule is degenerate at n = 256
+PINNED = dict(experiment="pinned",
+              cases=[{"case": "lsv", "lsv_alpha": 0.3},
+                     {"case": "noncausal_ar", "ar_depth": 50, "target": "gaussian_mixture",
+                      "target_params": {"means": [0.3, 0.7], "sds": [0.1, 0.1],
+                                        "weights": [0.5, 0.5]}}],
+              methods=["STCV", "theoretical-hard"], n=[256, 1024], M=20, p=[1, 2],
+              moments=[2], seed=7, wavelet={"family": "daubechies", "N": 4},
+              decay={"j": 3, "max_lag": 40}, K=0.5, b=2)
+
 
 _COUNTER = itertools.count()
 
@@ -189,15 +199,17 @@ class TestLoadConfig:
         (dict(methods=["STCV", "theoretical-hard"]), r"n=64, b=1\.0, K=1\.0: degenerate"),
         (dict(methods=["theoretical-soft"], n=[64, 4096], b=100.0, K=0.5),
          r"n=64, b=100\.0, K=0\.5: degenerate"),
+        (PINNED, r"n=256, b=2\.0, K=0\.5: degenerate"),
     ])
     def test_degenerate_schedule_exits_before_output(self, tmp_path, capsys,
                                                      overrides, hint):
-        """The theoretical schedule is a function of (n, N, b, K), so a
-        degenerate one stops every config command before it writes or fits
-        anything; load_config alone still accepts the config."""
+        """The theoretical schedule is a function of (n, N, b, K), so
+        load_config refuses a degenerate one, and every config command stops
+        before it writes or fits anything."""
         out = tmp_path / "runs"
         path = tiny_config(tmp_path, out=str(out), **overrides)
-        load_config(path).sha256()
+        with pytest.raises(ConfigError, match=hint):
+            load_config(path)
         for command in ("simulate", "benchmark", "diagnose-decay"):
             assert main(["--config", path, command]) == 2
             assert re.search(hint, capsys.readouterr().err)
@@ -265,15 +277,8 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("overrides,digest", [
         ({}, "26b48c1a6a4add7d8660058bbcec873a2e6adb85373e8aa8b7c50260402afea6"),
-        (dict(experiment="pinned",
-              cases=[{"case": "lsv", "lsv_alpha": 0.3},
-                     {"case": "noncausal_ar", "ar_depth": 50, "target": "gaussian_mixture",
-                      "target_params": {"means": [0.3, 0.7], "sds": [0.1, 0.1],
-                                        "weights": [0.5, 0.5]}}],
-              methods=["STCV", "theoretical-hard"], n=[256, 1024], M=20, p=[1, 2],
-              moments=[2], seed=7, wavelet={"family": "daubechies", "N": 4},
-              decay={"j": 3, "max_lag": 40}, K=0.5, b=2),
-         "65655376f3f8682ffe44572acecfb9605a1834bafe4ac1bcad31a7ff3ec5efd3"),
+        ({**PINNED, "n": [16384, 65536], "b": 100},  # schedules j0..j1 = 2..4, 3..5
+         "4af244ca809609b6f7139cebc870a6385b29eefdd3091585a5b14806eee89603"),
     ])
     def test_hash_is_pinned(self, tmp_path, overrides, digest):
         """Validating a config must not change what it hashes to (cases and

@@ -136,42 +136,22 @@ def _assert_synthesis_matches(tables, support):
                 got = _synthesize_level(tables, kind, version, grid)
                 want = _reference_synthesis(tables, kind, version, np.linspace(*grid))
                 assert got.tobytes() == want.tobytes(), (kind, lev.j, grid)
-    for j in (*range(1, 7), 11):
-        for grid in grids:
-            k0, rho, counts = tables.grid_residues(j, *grid)
-            kbase, want_rho = tables.residues(j, np.linspace(*grid))
-            assert rho.tobytes() == want_rho.tobytes()
-            assert np.repeat(k0 + np.arange(len(counts)), counts).tobytes() == kbase.tobytes()
-
-
-def test_grid_residues_are_built_once_per_level_and_grid():
-    """phi and psi of one level share the entry; another grid gets its own."""
-    tables = replace(TABLES["sym8"])  # a fresh cache
-    sample = Sample(values=_samples()["raw"], support=(0.0, 1.0))
-    coeffs = empirical_coefficients(sample, tables, 3, 3)
-    big, small = (0.0, 1.0, 4096), (0.0, 1.0, 1000)
-    for grid in (big, small, big, small):
-        _synthesize_level(tables, "phi", coeffs.scaling, grid)
-        _synthesize_level(tables, "psi", coeffs.details[0], grid)
-    assert sorted(tables._grids) == [(3, *small), (3, *big)]
-    assert tables.grid_residues(3, *big) is tables._grids[(3, *big)]
-    with pytest.raises(ValueError, match="not increasing"):
-        tables.grid_residues(3, 1.0, 0.0, 64)
-
-
-def test_grid_residues_are_read_only():
-    """Every later fit shares the cached residues and run lengths."""
-    _, rho, counts = replace(TABLES["sym8"]).grid_residues(3, 0.0, 1.0, 4096)
-    for arr in (rho, counts):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0
+    for kind in ("phi", "psi"):
+        for j in (*range(1, 7), 11):
+            for grid in grids:
+                k0, weights, counts = tables.grid_weights(kind, j, *grid)
+                kbase, rho = tables.residues(j, np.linspace(*grid))
+                assert weights.tobytes() == tables.polyphase(kind)[:, rho].tobytes()
+                assert (np.repeat(k0 + np.arange(len(counts)), counts).tobytes()
+                        == kbase.tobytes())
 
 
 def test_grid_weights_are_built_once_per_kind_level_and_grid():
     """phi and psi of one level get their own weights, and so does another grid.
 
-    The weights are polyphase(kind)[:, rho] byte for byte and read-only, and a
-    synthesis gives the same bytes from a cold cache and a warm one.
+    The weights are polyphase(kind)[:, rho] byte for byte, the weights and run
+    lengths are read-only, a decreasing grid is refused, and a synthesis gives
+    the same bytes from a cold cache and a warm one.
     """
     tables = replace(TABLES["sym8"])  # fresh caches
     sample = Sample(values=_samples()["raw"], support=(0.0, 1.0))
@@ -189,12 +169,17 @@ def test_grid_weights_are_built_once_per_kind_level_and_grid():
             entry = tables.grid_weights(kind, 3, *grid)
             assert tables.grid_weights(kind, 3, *grid) is entry
             k0, weights, counts = entry
-            grid_k0, rho, grid_counts = tables.grid_residues(3, *grid)
-            assert k0 == grid_k0 and counts is grid_counts
+            kbase, rho = tables.residues(3, np.linspace(*grid))
+            assert k0 == kbase[0]
+            assert counts.tobytes() == np.bincount(kbase - kbase[0]).tobytes()
             assert weights.shape == (16, grid[2])
             assert weights.tobytes() == tables.polyphase(kind)[:, rho].tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 weights[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                counts[0] = 0
+    with pytest.raises(ValueError, match="not increasing"):
+        tables.grid_weights("psi", 3, 1.0, 0.0, 64)
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))

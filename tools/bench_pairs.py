@@ -18,6 +18,8 @@ itself runs, as perfbench/stability.py defaults to. Writes one JSON file with:
 - the digests of both sides and whether they agree;
 - each side's Tier-1 run (`pytest -q --durations=10` with ./src on the
   path): its wall time, its result line and its ten slowest tests;
+- each side's line count of src/wavedens/*.py as `wc -l` reads it, and the
+  share of it in the generated _taps.py;
 - the core count, the CPU, and the Python and numpy versions.
 
 Standard library only; run from anywhere inside the repository.
@@ -112,6 +114,13 @@ def _tier1(checkout: Path) -> dict:
             "slowest": slowest}
 
 
+def _src_lines(checkout: Path) -> dict:
+    """Newlines in src/wavedens/*.py, as `wc -l` counts them: total and _taps.py."""
+    counts = {path.name: path.read_bytes().count(b"\n")
+              for path in (checkout / "src" / "wavedens").glob("*.py")}
+    return {"total": sum(counts.values()), "taps": counts.get("_taps.py", 0)}
+
+
 def _spread(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "iqr": q3 - q1}
@@ -163,6 +172,7 @@ def main() -> int:
         report["head"] = {"rev": "working tree"}
         _copy_worktree(dirs["head"])
         for side, checkout in dirs.items():
+            report[side]["src_lines"] = _src_lines(checkout)
             report[side]["tier1"] = _tier1(checkout)
             print(f"tier-1 {side}: {report[side]['tier1']['result']}, "
                   f"{report[side]['tier1']['wall_s']:.1f} s wall", flush=True)
