@@ -245,8 +245,7 @@ def _coarse_level(n: int, N: int) -> int:
     return math.floor(math.log(n) / (1 + N)) + 1
 
 
-def theoretical_plan(n: int, N: int, b: float, K: float = 1.0,
-                     mode: str = "hard") -> ThresholdPlan:
+def theoretical_plan(n: int, N: int, b: float, K: float, mode: str = "hard") -> ThresholdPlan:
     """The theoretical schedule: j0, j1 and lambda_j = K sqrt(j/n).
 
     j0 is the smallest integer larger than ln(n)/(1+N) and j1 the largest

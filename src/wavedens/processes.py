@@ -32,7 +32,9 @@ __all__ = [
 
 # The ProcessSpec fields each case reads; the lsv map alone has no known density.
 CASE_FIELDS = {"iid": ("target",), "logistic_map": ("target",),
-               "noncausal_ar": ("target", "ar_depth"), "lsv": ("lsv_alpha",)}
+               "noncausal_ar": ("target",), "lsv": ("lsv_alpha",)}
+# Flips on each side of a noncausal_ar site; the tail beyond weighs 2**-64.
+_CASE3_REACH = 64
 # The params each target kind reads; build_target rejects any other key.
 _TARGET_PARAMS = {"sine_uniform_mixture": set(), "custom": {"density", "support"},
                   "gaussian_mixture": {"means", "sds", "weights", "support"}}
@@ -65,7 +67,6 @@ class ProcessSpec:
     seed: int
     target: TargetDensity | None = None
     lsv_alpha: float | None = None
-    ar_depth: int = 200
 
     def __post_init__(self):
         if self.case not in CASE_FIELDS:
@@ -81,8 +82,6 @@ class ProcessSpec:
                 raise ValueError("lsv case needs lsv_alpha in (0, 1)")
         elif self.target is None:
             raise ValueError(f"case {self.case!r} needs a target density")
-        if type(self.ar_depth) is not int or self.ar_depth < 1:
-            raise ValueError(f"ar_depth must be an integer >= 1, got {self.ar_depth!r}")
 
 
 def derived_seed(master: int, r: int) -> int:
@@ -220,35 +219,32 @@ def _logistic_trajectory(n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _case3_noise(n: int, rng: np.random.Generator, depth: int) -> np.ndarray:
-    """Coin flips on the lattice [-depth, n-1+depth], core drawn first.
-
-    The core flips for sites 0..n-1 are drawn before the extension flips, so
-    deepening the iteration extends the lattice without changing the
-    realization near the centre.
-    """
-    xi = np.empty(n + 2 * depth)
-    xi[depth:depth + n] = rng.integers(0, 2, size=n)
-    ext = rng.integers(0, 2, size=2 * depth)
-    xi[depth - 1::-1] = ext[0::2]
-    xi[depth + n:] = ext[1::2]
+def _case3_noise(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Coin flips on the sites -64..n+63: the n core flips first, then the
+    extension, alternating left and right outward from the core."""
+    r = _CASE3_REACH
+    xi = np.empty(n + 2 * r)
+    xi[r:r + n] = rng.integers(0, 2, size=n)
+    ext = rng.integers(0, 2, size=2 * r)
+    xi[r - 1::-1] = ext[0::2]
+    xi[r + n:] = ext[1::2]
     return xi
 
 
-def _case3_lattice(n: int, rng: np.random.Generator, depth: int) -> np.ndarray:
-    """Fixed-point iteration for Y = 2(Y_-1 + Y_+1)/5 + xi/5, started at 0.
+def _case3_latent(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Y_t = sum_k 2**-|k| xi_{t-k} / 3, the stationary solution of
+    Y = 2(Y_-1 + Y_+1)/5 + xi/5, as (U_t + U'_t + xi_t)/3 at the core sites.
 
-    Each sweep trims one lattice site per side; after `depth` sweeps the
-    remaining window is exactly the n core sites. The sweep contracts by 4/5,
-    so depth 200 leaves an error below 2**-64.
+    U'_t and U_t are the binary fractions of the 64 flips after and before t,
+    summed by doubling: windows of up to 32 flips sum exactly, so only the
+    last of the six elementwise passes rounds, and no BLAS reduction is used.
     """
-    xi = _case3_noise(n, rng, depth)
-    y = np.zeros(n + 2 * depth)
-    offset = 0
-    for _ in range(depth):
-        y = 0.4 * (y[:-2] + y[2:]) + 0.2 * xi[offset + 1:offset + len(y) - 1]
-        offset += 1
-    return y
+    r = _CASE3_REACH
+    xi = _case3_noise(n, rng)
+    s = np.stack([xi[r + 1:], xi[n + r - 2::-1]])  # the flips after t; before t, reversed
+    for m in (1, 2, 4, 8, 16, 32):
+        s = s[:, :-m] + 2.0**-m * s[:, m:]
+    return (0.5 * (s[0] + s[1, ::-1]) + xi[r:r + n]) / 3.0
 
 
 def case3_marginal_cdf(y):
@@ -299,7 +295,7 @@ def simulate(spec: ProcessSpec) -> Sample:
         y = _logistic_trajectory(spec.n, rng)
         u = (2.0 / math.pi) * np.arcsin(np.sqrt(y))
     else:  # noncausal_ar
-        y = _case3_lattice(spec.n, rng, spec.ar_depth)
+        y = _case3_latent(spec.n, rng)
         u = case3_marginal_cdf(y)
     values = target.inverse_cdf(u)
     return Sample(np.clip(values, *target.support), target.support)

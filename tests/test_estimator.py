@@ -148,7 +148,7 @@ class TestTheoreticalPlan:
         moderate n, so only weakly dependent regimes (large b) or very large
         samples are exercised here.
         """
-        plan = theoretical_plan(n, N=8, b=b)
+        plan = theoretical_plan(n, N=8, b=b, K=1.0)
         assert plan.j0 == math.floor(math.log(n) / 9.0) + 1
         w = (math.log(n) + (-2.0 / b - 3.0) * math.log(math.log(n))) / math.log(2.0)
         assert plan.j1 == math.ceil(w) - 1
@@ -168,17 +168,17 @@ class TestTheoreticalPlan:
 
     def test_degenerate_schedule(self):
         with pytest.raises(ValueError, match="degenerate schedule"):
-            theoretical_plan(16, N=8, b=0.2)
+            theoretical_plan(16, N=8, b=0.2, K=1.0)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="at least 8"):
-            theoretical_plan(4, N=8, b=1.0)
+            theoretical_plan(4, N=8, b=1.0, K=1.0)
 
     def test_bad_constants_rejected(self):
         with pytest.raises(ValueError):
-            theoretical_plan(1024, N=0, b=1.0)
+            theoretical_plan(1024, N=0, b=1.0, K=1.0)
         with pytest.raises(ValueError):
-            theoretical_plan(1024, N=8, b=-1.0)
+            theoretical_plan(1024, N=8, b=-1.0, K=1.0)
         with pytest.raises(ValueError):
             theoretical_plan(1024, N=8, b=1.0, K=0.0)
 

@@ -3,13 +3,14 @@
 import hashlib
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from wavedens.processes import (ProcessSpec, build_target, case3_marginal_cdf,
-                                derived_seed, lsv_step, simulate)
+from wavedens.processes import (ProcessSpec, _case3_latent, _case3_noise, _rng, build_target,
+                                case3_marginal_cdf, derived_seed, lsv_step, simulate)
 
 KS_ALPHA = 1e-3
 
@@ -85,8 +86,9 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("case,field,value", [
         ("iid", "lsv_alpha", 0.3),
-        ("lsv", "ar_depth", 7),
-        ("logistic_map", "ar_depth", 7),
+        pytest.param("lsv", "target", build_target("sine_uniform_mixture"),
+                     id="lsv-target-sine"),
+        ("logistic_map", "lsv_alpha", 0.5),
         ("noncausal_ar", "lsv_alpha", 0.5),
     ])
     def test_unread_field_is_refused(self, sine_target, case, field, value):
@@ -94,13 +96,6 @@ class TestSpecValidation:
         kwargs = {"lsv_alpha": 0.5} if case == "lsv" else {"target": sine_target}
         with pytest.raises(ValueError, match=f"case '{case}' takes no {field}"):
             ProcessSpec(case, 64, seed=1, **kwargs, **{field: value})
-
-    def test_bad_depth(self, sine_target):
-        """The depth is a sweep count: zero, a fraction or a bool is refused."""
-        for depth in (0, 2.5, True):
-            with pytest.raises(ValueError, match="ar_depth must be an integer"):
-                ProcessSpec("noncausal_ar", 100, seed=1, target=sine_target,
-                            ar_depth=depth)
 
 
 class TestTargets:
@@ -286,14 +281,16 @@ class TestMovingAverageDynamics:
         flips = set(np.round(xi).astype(int))
         assert flips <= {0, 1} and len(flips) == 2
 
-    def test_iteration_depth_does_not_move_the_core(self, sine_target):
-        """The core noise is drawn before the lattice extension, and the sweep
-        contracts geometrically, so deepening it leaves the sample put."""
-        a = simulate(ProcessSpec("noncausal_ar", 500, seed=11,
-                                 target=sine_target, ar_depth=200)).values
-        b = simulate(ProcessSpec("noncausal_ar", 500, seed=11,
-                                 target=sine_target, ar_depth=260)).values
-        assert np.abs(a - b).max() < 2.0**-40
+    def test_latent_matches_the_exact_two_sided_sum(self):
+        """Y_t = sum over |k| <= 64 of 2^-|k| xi_{t-k} / 3, summed exactly over
+        the drawn flips, is met within 2 ulp at every site, the edges included."""
+        n = 400
+        xi = _case3_noise(n, _rng(5)).astype(int).tolist()
+        y = _case3_latent(n, _rng(5))
+        for t in range(n):
+            total = sum(xi[64 + t - k] << (64 - abs(k)) for k in range(-64, 65))
+            exact = Fraction(total, 3 << 64)
+            assert abs(Fraction(float(y[t])) - exact) <= 2 * math.ulp(float(exact)), t
 
 
 class TestIntermittentMap:
