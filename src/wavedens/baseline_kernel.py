@@ -118,21 +118,6 @@ def kernel_estimate(sample: Sample, config: KernelConfig = KernelConfig()) -> De
     return DensityEstimate(grid=grid, values=values)
 
 
-def _prefix_sums(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """p[:c].sum() for each c in counts, in counts' shape.
-
-    Each whole 4096-value block of p is summed pairwise and the block sums are
-    chained; the partial block is summed on its own. So each value depends on
-    p[:c] alone, never on the other counts or on what follows in p, and its
-    error stays near the pairwise sum's rather than a running sum's.
-    """
-    block = 4096
-    whole = p[:len(p) // block * block].reshape(-1, block).sum(axis=1)
-    chained = np.concatenate(([0.0], np.cumsum(whole)))
-    return np.reshape([chained[c // block] + p[c // block * block:c].sum()
-                       for c in counts.ravel()], counts.shape)
-
-
 def _over_h(sums: np.ndarray, hs: np.ndarray, k: int) -> np.ndarray:
     """sums / h^k, by k divisions, so no power of h under- or overflows."""
     for _ in range(k):
@@ -140,39 +125,101 @@ def _over_h(sums: np.ndarray, hs: np.ndarray, k: int) -> np.ndarray:
     return sums
 
 
+def _level_sums(xs: np.ndarray, hs: np.ndarray, w: float) -> np.ndarray:
+    """Pair counts and distance power sums at the bandwidths hs of one block width w.
+
+    For c = 2h, rows 0-3 hold the count and the sums of d^2, d^3 and d^5
+    over the pairs i < j of the sorted sample with xs[j] <= xs[i] + c,
+    d = xs[j] - xs[i]; for c = h, rows 4-5 hold the count and the sum of d^2.
+
+    The sample is cut into blocks, the cells of width w from xs[0]. A
+    block's row runs from its first point o to the last point that any of
+    its points reaches, and holds the running count and the running sums of
+    y^r = (x - o)^r, r = 1..5. A point i reads its block's row at i and at
+    its last partner u - 1, found by a binary search for xs[i] + c; the sums
+    of d^m = (y_j - y_i)^m over (i, u) then follow from the binomial
+    expansion. Rows are padded to the power of two above their length and
+    cumulated one width at a time, so the padding never exceeds the rows.
+
+    The bits of each h's sums depend on xs, w and h alone: a running sum
+    reads only its row up to there, the expansion is elementwise in (h,
+    point), and each h's terms are summed along their own contiguous row.
+    """
+    n = len(xs)
+    cells = np.floor((xs - xs[0]) / w)
+    new = cells[1:] != cells[:-1]
+    block = np.concatenate(([0], np.cumsum(new)))
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    lasts = np.append(starts[1:], n) - 1
+    lengths = np.searchsorted(xs, xs[lasts] + 2.0 * hs.max(), side="right") - starts
+    widths = 2 ** np.frexp(lengths)[1]
+    by_width = np.argsort(widths, kind="stable")
+    sizes = widths[by_width]
+    row_base = np.empty(len(starts), dtype=np.int64)
+    row_base[by_width] = np.cumsum(sizes) - sizes
+    row = np.repeat(by_width, sizes)  # the block of each stored value
+    col = np.arange(len(row)) - row_base[row]  # and its position in the row
+    rows = np.empty((6, len(row)))
+    rows[0] = col + 1
+    np.subtract(xs[np.minimum(starts[row] + col, n - 1)], xs[starts[row]], out=rows[1])
+    for r in range(2, 6):
+        np.multiply(rows[r - 1], rows[1], out=rows[r])
+    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
+    for a, b in zip(cuts, cuts[1:]):
+        first, width = int(row_base[by_width[a]]), int(sizes[a])
+        matrix = rows[1:, first:first + (b - a) * width].reshape(5, b - a, width)
+        np.cumsum(matrix, axis=2, out=matrix)
+    origin = starts[block]
+    base = row_base[block] - origin - 1  # rows[:, base[i] + u]: block(i)'s row through u - 1
+    t = xs[origin] - xs  # -y_i
+    # d^m is the sum over r of C(m, r) t^(m-r) y_j^r; the part of each
+    # running sum up to i itself is one value per point, subtracted once
+    tp = [np.ones(n), t]
+    for _ in range(4):
+        tp.append(tp[-1] * t)
+    coef = {m: np.array([math.comb(m, r) * tp[m - r] for r in range(m + 1)]) for m in (2, 3, 5)}
+    low = rows[:, base + np.arange(1, n + 1)]
+    fold = {m: np.einsum("ri,ri->i", coef[m], low[:m + 1]) for m in coef}
+    out = np.empty((6, len(hs)))
+    chunk = max(1, 2**12 // n)  # chunks of about 4096 reads keep them in cache
+    for a in range(0, len(hs), chunk):
+        h = hs[a:a + chunk]
+        for c, ms, into in ((2.0 * h, (2, 3, 5), slice(0, 4)), (h, (2,), slice(4, 6))):
+            upper = np.searchsorted(xs, xs + c[:, None], side="right")
+            sums = rows[:ms[-1] + 1].take(upper + base, axis=1)
+            out[into, a:a + len(h)] = [sums[0].sum(axis=1) - low[0].sum()] + [
+                (np.einsum("rki,ri->ki", sums[:m + 1], coef[m]) - fold[m]).sum(axis=1)
+                for m in ms]
+    return out
+
+
 def _lscv_scores(sample: Sample, hs: np.ndarray) -> list[float]:
-    """LSCV scores at the ascending bandwidths hs, from one sorted list of
-    pair distances.
+    """LSCV scores at the bandwidths hs, in any order, from block-local prefix sums.
 
     With a = d/h, (K * K)(a) is a polynomial in a (_SELFCONV) and K(a) is
     0.75 (1 - a^2), so a score needs only the count and the sums of d^2, d^3
-    and d^5 over the pairs with d <= 2h, and the same for d^2 over d <= h.
-    On the sorted distances these are prefix sums, read at the index
-    searchsorted gives for 2h (and h). Neither the list nor a prefix sum
-    depends on the other bandwidths: the list holds every pair within
-    2 max(hs), plus a slack far above the rounding of xs + reach, so each
-    score equals lscv_score's bit for bit.
+    and d^5 over the pairs with xs[j] <= xs[i] + 2h, and the count and the
+    sum of d^2 over those with xs[j] <= xs[i] + h (_level_sums). Each h
+    takes the block width w = 4^floor(log4 2h), so w <= 2h < 4w: every
+    |y| stays below 4h, the binomial terms of d^m below (6h)^m, and the
+    cancellation costs a bounded number of ulps of h^m a pair, on any
+    sample. The width depends on h alone, so each score equals
+    lscv_score's bit for bit, whatever the other bandwidths.
     """
     if sample.n < 2:
         raise ValueError("leave-one-out score needs n >= 2")
     n = sample.n
     xs = np.sort(sample.values)
-    top = 2.0 * hs[-1]
-    reach = top + 1e-9 * (top + max(-xs[0], xs[-1]))
-    upper = np.searchsorted(xs, xs + reach, side="right")
-    d = np.concatenate([xs[i + 1:u] - xs[i] for i, u in enumerate(upper)])
-    d.sort()
-    within = np.searchsorted(d, 2.0 * hs, side="right")  # pairs with d <= 2h
-    near = np.searchsorted(d, hs, side="right")  # pairs with d <= h
-    power = d * d
-    s2_within, s2_near = _prefix_sums(power, np.stack((within, near)))
+    hs = np.asarray(hs, dtype=float)
+    level = (np.frexp(2.0 * hs)[1] - 1) // 2
+    sums = np.empty((6, len(hs)))
+    for k in np.unique(level).tolist():
+        at = level == k
+        sums[:, at] = _level_sums(xs, hs[at], math.ldexp(1.0, 2 * k))
+    within, s2_within, s3, s5, near, s2_near = sums
     sum_k = 0.75 * (near - _over_h(s2_near, hs, 2))
-    sum_kk = _SELFCONV[0] * within + _SELFCONV[2] * _over_h(s2_within, hs, 2)
-    power *= d
-    sum_kk += _SELFCONV[3] * _over_h(_prefix_sums(power, within), hs, 3)
-    power *= d
-    power *= d
-    sum_kk += _SELFCONV[5] * _over_h(_prefix_sums(power, within), hs, 5)
+    sum_kk = (_SELFCONV[0] * within + _SELFCONV[2] * _over_h(s2_within, hs, 2)
+              + _SELFCONV[3] * _over_h(s3, hs, 3) + _SELFCONV[5] * _over_h(s5, hs, 5))
     sq_norm = (_SELFCONV[0] * n + 2.0 * sum_kk) / (n * n * hs)
     loo = 2.0 * sum_k / ((n - 1) * hs)
     return (sq_norm - 2.0 * loo / n).tolist()

@@ -1,5 +1,7 @@
 """Kernel baseline: bandwidth rules, CV score closed forms, estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -203,6 +205,51 @@ class TestLscvPrefixSums:
             assert got == pytest.approx(_reference_lscv_scores(s, np.array([h]))[0],
                                         rel=1e-11, abs=0.0)
 
+    def test_bandwidth_order_does_not_matter(self):
+        """A score depends on its own bandwidth alone, not on the order or the
+        largest of the others: on 60 points tied at 0.5 plus 40 uniform ones,
+        h = 0.2 listed before 0.05 reads lscv_score's bits (a reach taken from
+        the last bandwidth drops pairs 0.1 to 0.4 apart), and so does every
+        bandwidth of a shuffled default grid."""
+        rng = np.random.default_rng(1)
+        tied = Sample(values=np.concatenate([np.full(60, 0.5), rng.random(40)]),
+                      support=(0.0, 1.0))
+        assert _lscv_scores(tied, [0.2, 0.05]) == [lscv_score(tied, 0.2),
+                                                   lscv_score(tied, 0.05)]
+        s = simulate(ProcessSpec(case="lsv", n=1024, seed=4, lsv_alpha=0.5))
+        h_rot = rule_of_thumb_bandwidth(s)
+        shuffled = rng.permutation(np.geomspace(h_rot / 10.0, 3.0 * h_rot, 40))
+        assert _lscv_scores(s, shuffled) == [lscv_score(s, float(h)) for h in shuffled]
+
+    def test_edge_samples(self):
+        """Samples where the blocks are widest against the bandwidth: n = 2 with
+        the pair exactly h apart; 60 points tied at 0.5 plus 40 uniform ones,
+        whose zero interquartile range leaves no rule-of-thumb bandwidth; and
+        900 points within 1e-6 of 0.3 plus 124 uniform ones, on the default
+        grid and on a grid down to h = 1e-7. Each is within 1e-11 of the
+        per-pair scores and picks the same bandwidth."""
+        def check(s, grid):
+            want = _reference_lscv_scores(s, grid)
+            got = _lscv_scores(s, grid)
+            assert_allclose(got, want, rtol=1e-11, atol=0.0)
+            assert np.argmin(got) == np.argmin(want)
+
+        pair = Sample(values=np.array([0.2, 0.5]), support=(0.0, 1.0))
+        check(pair, np.array([0.3]))
+        assert lscv_score(pair, 0.3) == pytest.approx(1.34375, rel=1e-12)
+        rng = np.random.default_rng(1)
+        tied = Sample(values=np.concatenate([np.full(60, 0.5), rng.random(40)]),
+                      support=(0.0, 1.0))
+        with pytest.raises(ValueError, match="interquartile"):
+            rule_of_thumb_bandwidth(tied)
+        check(tied, np.array([0.05, 0.2]))
+        check(tied, np.geomspace(1e-3, 0.5, 40))
+        cluster = Sample(values=np.concatenate([0.3 + 1e-6 * (2.0 * rng.random(900) - 1.0),
+                                                rng.random(124)]), support=(0.0, 1.0))
+        h_rot = rule_of_thumb_bandwidth(cluster)
+        check(cluster, np.geomspace(h_rot / 10.0, 3.0 * h_rot, 40))
+        check(cluster, np.geomspace(1e-7, 0.3, 40))
+
 
 class TestCvBandwidth:
     def test_achieves_the_grid_minimum(self, rng):
@@ -221,6 +268,19 @@ class TestCvBandwidth:
                 scores = [lscv_score(s, float(h)) for h in grid]
                 assert _lscv_scores(s, grid) == scores
             assert cv_bandwidth(s) == default[int(np.argmin(_lscv_scores(s, default)))]
+
+    def test_memory_stays_linear_in_n(self):
+        """At n = 16384 the tracemalloc peak of cv_bandwidth stays under 64 MB;
+        the pairs within 6 h_rot alone would take 548 MB."""
+        s = simulate(ProcessSpec(case="iid", n=16384, seed=1,
+                                 target=build_target("sine_uniform_mixture")))
+        tracemalloc.start()
+        try:
+            cv_bandwidth(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestKernelEstimate:

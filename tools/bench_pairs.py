@@ -14,7 +14,10 @@ itself runs, as perfbench/stability.py defaults to. Writes one JSON file with:
 
 - each pair's metrics and head/base ratios, per workload;
 - each side's median and interquartile range of every metric, the median
-  ratio and the count of pairs in which the head side is better;
+  ratio, the count of pairs in which the head side is better, and the
+  two-sided sign-test p-value of those wins against the losses (ties left
+  out), the chance of a split at least that lopsided on code that does
+  not change the metric;
 - the digests of both sides and whether they agree;
 - each side's Tier-1 run (`pytest -q --durations=10` with ./src on the
   path): its wall time, its result line and its ten slowest tests;
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -126,17 +130,26 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1}
 
 
+def _sign_test(wins: int, losses: int) -> float:
+    """Two-sided sign-test p-value of `wins` against `losses`, ties left out."""
+    trials = wins + losses
+    tail = sum(math.comb(trials, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2**trials)
+
+
 def _summary(pairs: list[dict], better: dict) -> dict:
     out = {}
     for name, direction in better.items():
         base = [p["base"][name] for p in pairs]
         head = [p["head"][name] for p in pairs]
         ratios = [p["ratio"][name] for p in pairs]
-        wins = sum((h > b) if direction == "higher" else (h < b) for b, h in zip(base, head))
+        sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+        losses = sum(sign * (h - b) < 0 for b, h in zip(base, head))
         out[name] = {"better": direction, "base": _spread(base), "head": _spread(head),
                      "ratio_median": statistics.median(ratios),
                      "ratio_range": [min(ratios), max(ratios)],
-                     "head_better_pairs": wins}
+                     "head_better_pairs": wins, "sign_test_p": _sign_test(wins, losses)}
     return out
 
 
