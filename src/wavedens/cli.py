@@ -526,8 +526,6 @@ def main(argv=None) -> int:
     except (ConfigError, click.UsageError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
     except click.Abort:
         return 3
     except Exception as exc:

@@ -205,18 +205,22 @@ def build_target(kind: str, params: dict | None = None) -> TargetDensity:
     return _tabulated_target(kind, params["density"], (lo, hi))
 
 
-def _logistic_trajectory(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Logistic-map orbit started from the invariant (arcsine) law."""
-    u = rng.random()
-    y = math.sin(math.pi * u / 2.0) ** 2
-    out = np.empty(n)
-    for i in range(n):
-        if y == 0.0 or y == 0.75:
-            y = math.nextafter(y, 0.5)
-            warnings.warn("logistic trajectory hit a fixed point; perturbed by one ulp")
-        out[i] = y
-        y = 4.0 * y * (1.0 - y)
-    return out
+def _orbit(z: float, step: Callable[[float, float], float], theta: float,
+           fixed: tuple[float, float], n: int, burn: int, warning: str) -> np.ndarray:
+    """States burn .. burn + n - 1 of the orbit z, step(z, theta), ...
+
+    A state at one of the map's two fixed points is moved one ulp toward 1/2,
+    with the warning, before it is recorded and stepped.
+    """
+    lo, hi = fixed
+    states = []
+    for _ in range(burn + n):
+        if z == lo or z == hi:
+            z = math.nextafter(z, 0.5)
+            warnings.warn(warning)
+        states.append(z)
+        z = step(z, theta)
+    return np.array(states[burn:])
 
 
 def _case3_noise(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -266,33 +270,23 @@ def lsv_step(x: float, alpha: float) -> float:
     return 2.0 * x - 1.0
 
 
-def _lsv_trajectory(n: int, rng: np.random.Generator, alpha: float) -> np.ndarray:
-    """Burn in for n steps from a uniform start, then record n values."""
-    z = rng.random()
-    out = np.empty(n)
-    total = 2 * n
-    for i in range(total):
-        if z == 0.0 or z == 1.0:
-            z = math.nextafter(z, 0.5)
-            warnings.warn("lsv trajectory hit a boundary fixed point; perturbed by one ulp")
-        z = lsv_step(z, alpha)
-        if i >= n:
-            out[i - n] = z
-    return out
-
-
 def simulate(spec: ProcessSpec) -> Sample:
     """Draw one sample from the regime; identical specs give identical output."""
     rng = _rng(spec.seed)
     if spec.case == "lsv":
-        values = _lsv_trajectory(spec.n, rng, spec.lsv_alpha)
+        # a uniform start; the sample is states n + 1 .. 2n
+        values = _orbit(rng.random(), lsv_step, spec.lsv_alpha, (0.0, 1.0), spec.n, spec.n + 1,
+                        "lsv trajectory hit a boundary fixed point; perturbed by one ulp")
         return Sample(values, (0.0, 1.0))
 
     target = spec.target
     if spec.case == "iid":
         u = rng.random(spec.n)
     elif spec.case == "logistic_map":
-        y = _logistic_trajectory(spec.n, rng)
+        # started from the invariant (arcsine) law, r = 4
+        y = _orbit(math.sin(math.pi * rng.random() / 2.0) ** 2, lambda y, r: r * y * (1.0 - y),
+                   4.0, (0.0, 0.75), spec.n, 0,
+                   "logistic trajectory hit a fixed point; perturbed by one ulp")
         u = (2.0 / math.pi) * np.arcsin(np.sqrt(y))
     else:  # noncausal_ar
         y = _case3_latent(spec.n, rng)

@@ -140,28 +140,31 @@ class TestLscvScore:
 
 def _reference_lscv_scores(sample, hs):
     """The per-pair scoring the prefix sums replaced: every h evaluates the
-    factored self-convolution 3/160 (2 - a)^3 (a^2 + 6a + 4) on each pair."""
+    factored self-convolution 3/160 (2 - a)^3 (a^2 + 6a + 4) on each pair.
+    The pairs within 2 max(hs) are pruned from the widest bandwidth down, and
+    the scores come back in the order of hs."""
     def selfconv(t):
         a = np.abs(t)
         return np.where(a <= 2.0, 3.0 / 160.0 * (2.0 - a) ** 3 * (a * a + 6.0 * a + 4.0), 0.0)
 
     n = sample.n
     xs = np.sort(sample.values)
-    upper = np.searchsorted(xs, xs + 2.0 * hs[-1], side="right")
+    hs = np.asarray(hs, dtype=float)
+    upper = np.searchsorted(xs, xs + 2.0 * hs.max(), side="right")
     lo = np.repeat(xs, upper - np.arange(1, n + 1))
     hi = np.concatenate([xs[i + 1:u] for i, u in enumerate(upper)])
-    scores = []
-    for h in hs[::-1]:
-        if h < hs[-1]:
-            keep = hi <= lo + 2.0 * h
-            lo, hi = lo[keep], hi[keep]
+    scores = np.empty(len(hs))
+    for i in np.argsort(hs, kind="stable")[::-1]:
+        h = hs[i]
+        keep = hi <= lo + 2.0 * h
+        lo, hi = lo[keep], hi[keep]
         d = hi - lo
         sum_kk = selfconv(d / h).sum()
         sum_k = _epa(d[d <= h] / h).sum()
         sq_norm = (0.6 * n + 2.0 * sum_kk) / (n * n * h)
         loo = 2.0 * sum_k / ((n - 1) * h)
-        scores.append(float(sq_norm - 2.0 * loo / n))
-    return scores[::-1]
+        scores[i] = sq_norm - 2.0 * loo / n
+    return scores.tolist()
 
 
 class TestLscvPrefixSums:
@@ -169,8 +172,8 @@ class TestLscvPrefixSums:
         """The prefix-sum scores stay within 1e-11 relative of the per-pair
         ones and pick the same bandwidth, at n = 1024 on three regimes and on
         samples rounded to 2 and 3 decimals (ties, zero distances, pairs 2h
-        apart); lscv_score reads the same bits at n = 1024, where the
-        prefix sums span several whole 4096-value blocks."""
+        apart); lscv_score reads the batched scores' bits, since each
+        bandwidth's block width depends on that bandwidth alone."""
         def check(s, grid):
             want = _reference_lscv_scores(s, grid)
             got = _lscv_scores(s, grid)
@@ -226,8 +229,8 @@ class TestLscvPrefixSums:
         the pair exactly h apart; 60 points tied at 0.5 plus 40 uniform ones,
         whose zero interquartile range leaves no rule-of-thumb bandwidth; and
         900 points within 1e-6 of 0.3 plus 124 uniform ones, on the default
-        grid and on a grid down to h = 1e-7. Each is within 1e-11 of the
-        per-pair scores and picks the same bandwidth."""
+        grid and on a grid down to h = 1e-7, ascending and reversed. Each is
+        within 1e-11 of the per-pair scores and picks the same bandwidth."""
         def check(s, grid):
             want = _reference_lscv_scores(s, grid)
             got = _lscv_scores(s, grid)
@@ -249,11 +252,12 @@ class TestLscvPrefixSums:
         h_rot = rule_of_thumb_bandwidth(cluster)
         check(cluster, np.geomspace(h_rot / 10.0, 3.0 * h_rot, 40))
         check(cluster, np.geomspace(1e-7, 0.3, 40))
+        check(cluster, np.geomspace(1e-7, 0.3, 40)[::-1])
 
 
 class TestCvBandwidth:
     def test_achieves_the_grid_minimum(self, rng):
-        """The scores cv_bandwidth takes from its one pair list are
+        """The scores cv_bandwidth takes from _lscv_scores are
         lscv_score's bit for bit, so it returns the first argmin. Runs on a
         uniform sample, an lsv path, and a sample rounded to 2 decimals (ties,
         zero distances, and pairs 2h apart for the h = 0.005 k grid, where

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,12 @@ class TestLoadConfig:
 
 
 class TestExitCodes:
+    def test_help_returns_0(self, capsys):
+        """click returns --help's exit code instead of raising, since main
+        runs it with standalone_mode=False."""
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("Usage: ")
+
     def test_missing_config_flag(self):
         assert main(["simulate"]) == 2
 
@@ -570,6 +577,25 @@ class TestBenchmarkCommand:
         assert [row.split(",")[0] for row in summary] == ["lsv0", "lsv1"]
 
 
+def _expected_flags(path):
+    """Each block's flag by the command's rule, from covariance_decay on the
+    sample the command profiles (its derived seed, the config's tables)."""
+    cfg = load_config(path)
+    d = cfg.decay_settings
+    flags = []
+    for i, block in enumerate(cfg.cases):
+        spec = replace(cfg.process_spec(block, d["n"]), seed=derived_seed(cfg.seed, i))
+        prof = covariance_decay(simulate(spec), cfg.tables(), j=d["j"], k=d["k"],
+                                max_lag=d["max_lag"])
+        if prof.sub_noise:
+            flags.append("exponential-or-faster")
+        elif prof.slope is not None:
+            flags.append(f"polynomial, slope = {prof.slope:.2f}")
+        else:
+            flags.append("inconclusive")
+    return flags
+
+
 class TestDiagnoseDecay:
     def test_profiles_and_flags(self, tmp_path):
         out = tmp_path / "runs"
@@ -583,10 +609,23 @@ class TestDiagnoseDecay:
         assert summary["probe"] == {"kind": "phi", "j": 2, "k": 1}
         labels = [p["label"] for p in summary["profiles"]]
         assert labels == ["lsv", "iid"]
-        assert all("flag" in p for p in summary["profiles"])
+        assert _expected_flags(path) == [p["flag"] for p in summary["profiles"]]
         csv_lines = (out / "decay_lsv.csv").read_text().splitlines()
         assert csv_lines[0] == "lag,covariance,floor"
         assert len(csv_lines) == 33
+
+    def test_slow_mixing_reaches_the_other_flags(self, tmp_path):
+        """Slowly mixing lsv blocks (alpha 0.9 and 0.8) reach the polynomial
+        and the inconclusive flags."""
+        out = tmp_path / "runs"
+        path = tiny_config(tmp_path, n=[2048],
+                           cases=[{"case": "lsv", "lsv_alpha": a} for a in (0.9, 0.8)],
+                           decay={"j": 2, "k": 1, "max_lag": 32})
+        assert main(["--config", path, "diagnose-decay"]) == 0
+        flags = [p["flag"] for p in
+                 json.loads((out / "decay_summary.json").read_text())["profiles"]]
+        assert flags == _expected_flags(path)
+        assert flags[0].startswith("polynomial, slope = ") and flags[1] == "inconclusive"
 
     def test_each_block_is_profiled_as_written(self, tmp_path, capsys):
         """Block i runs at its own lsv_alpha with seed derived_seed(seed, i),

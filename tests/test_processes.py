@@ -261,6 +261,29 @@ class TestLogisticDynamics:
         assert np.all(np.isfinite(s.values))
 
 
+class TestOrbitRecording:
+    @pytest.mark.parametrize("seed", [1, 8, 42])
+    def test_each_map_records_its_orbit_bit_for_bit(self, sine_target, seed):
+        """From u = _rng(seed).random(), iterated in plain floats: the logistic
+        sample is the orbit sin^2(pi u/2), 4y(1 - y), ... through the arcsine
+        and quantile transforms, and the lsv sample is states n + 1 .. 2n of
+        lsv_step's orbit from u."""
+        n = 300
+        u = _rng(seed).random()
+        y = [math.sin(math.pi * u / 2.0) ** 2]
+        while len(y) < n:
+            y.append(4.0 * y[-1] * (1.0 - y[-1]))
+        want = sine_target.inverse_cdf((2.0 / math.pi) * np.arcsin(np.sqrt(np.array(y))))
+        got = simulate(ProcessSpec("logistic_map", n, seed=seed, target=sine_target)).values
+        assert np.array_equal(got, np.clip(want, 0.0, 1.0))
+        for alpha in (0.3, 0.7):
+            z = [u]
+            while len(z) <= 2 * n:
+                z.append(lsv_step(z[-1], alpha))
+            got = simulate(ProcessSpec("lsv", n, seed=seed, lsv_alpha=alpha)).values
+            assert np.array_equal(got, np.array(z[n + 1:]))
+
+
 class TestMovingAverageDynamics:
     def test_marginal_cdf_closed_form(self):
         assert case3_marginal_cdf(0.0) == 0.0
@@ -329,3 +352,20 @@ class TestIntermittentMap:
         with pytest.warns(UserWarning, match="boundary"):
             s = simulate(ProcessSpec("lsv", 8, seed=0, lsv_alpha=0.5))
         assert np.all((s.values > 0) & (s.values < 1))
+
+    def test_boundary_mid_orbit_is_perturbed(self, monkeypatch):
+        """A start at exactly 1/2 steps to exactly 1.0, a fixed point of 2x - 1.
+        Moved one ulp inward, the state doubles its distance from 1 back to
+        1/2 at state 53 and steps to 1.0 again at state 54, which n = 32
+        records (states 33 .. 64): it too is moved inward before it is kept."""
+        class HalfFirst:
+            def random(self, size=None):
+                return 0.5
+
+        import wavedens.processes as proc
+        monkeypatch.setattr(proc, "_rng", lambda seed: HalfFirst())
+        assert lsv_step(0.5, 0.5) == 1.0
+        with pytest.warns(UserWarning, match="boundary"):
+            s = simulate(ProcessSpec("lsv", 32, seed=0, lsv_alpha=0.5))
+        assert np.all((s.values > 0) & (s.values < 1))
+        assert s.values[0] == 1.0 - 2.0**-21 and s.values[54 - 33] == 1.0 - 2.0**-53
