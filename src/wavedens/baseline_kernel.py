@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ class KernelConfig:
     def __post_init__(self):
         if self.bandwidth_rule not in _RULES:
             raise ValueError(f"bandwidth_rule must be one of {_RULES}")
+        if not isinstance(self.grid_points, numbers.Integral) or self.grid_points < 2:
+            raise ValueError(f"grid_points must be an integer >= 2, got {self.grid_points!r}")
 
 
 def rule_of_thumb_bandwidth(sample: Sample) -> float:
@@ -44,78 +47,95 @@ def rule_of_thumb_bandwidth(sample: Sample) -> float:
     return float((q3 - q1) / (2 * 0.6745) * (4.0 / (3.0 * sample.n)) ** 0.2)
 
 
-def _epanechnikov(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """0.75 (1 - u^2) where |u| <= 1, else +0.0; out may be u itself.
-
-    For finite u, u*u > 1 exactly when |u| > 1, so clipping 0.75 (1 - u*u)
-    at 0 gives the same bits as testing |u| and every zero is +0.0.
-    """
-    out = np.square(u, out=out)
-    np.subtract(1.0, out, out=out)
-    out *= 0.75
-    return np.maximum(out, 0.0, out=out)
-
-
 # (K * K)(a) = sum of c a^k over the items (k, c), for a = |t| <= 2: the
 # expansion of 3/160 (2 - a)^3 (a^2 + 6a + 4)
 _SELFCONV = {0: 0.6, 2: -0.75, 3: 0.375, 5: -0.01875}
 
 
-def _epanechnikov_selfconv(t: np.ndarray) -> np.ndarray:
-    """(K * K)(t) for the Epanechnikov kernel, supported on [-2, 2]."""
-    a = np.abs(t)
-    val = sum(c * a**k for k, c in _SELFCONV.items())
-    return np.where(a <= 2.0, val, 0.0)
-
-
 def kernel_estimate(sample: Sample, config: KernelConfig = KernelConfig()) -> DensityEstimate:
-    """f_h(x) = (nh)^-1 sum_i K((x - X_i)/h) on a uniform grid over the support.
+    """f_h(g) = (nh)^-1 sum_i K((g - X_i)/h) on a uniform grid over the support.
 
-    The grid is taken in blocks of min(64, 2^16 // n) rows, so a block's
-    window spans at most 63 grid steps plus 2 pad. A block evaluates the
-    kernel only on its window: the sorted sample values in
-    [fl(g_first - pad), fl(g_last + pad)], found by two searchsorted calls,
-    with pad = h + 1e-9 (h + s) and s = max(|lo|, |hi|). It writes those
-    values at their sample positions into a zero-filled n-column buffer,
-    sums every full row, and zeroes the written cells again.
-
-    This gives the bits of the dense evaluation of every (grid, sample) pair.
-    For x outside the window and any row g of the block, fl(g_first - pad)
-    and fl(g_last + pad) are within 2^-52 (s + pad) of their exact values, so
-    |g - x| > pad - 2^-52 (s + pad) > h (1 + 1e-10). Then
-    fl(fl(g - x)/h)^2 > 1, where _epanechnikov gives +0.0: the buffer's
-    zero. A window that errs wide only adds columns whose kernel is also
-    computed, so each row holds the dense row's n values in sample order,
-    and rows.sum(axis=1) adds them by the same pairwise tree.
+    K(u) = 0.75 (1 - u^2) on |u| <= 1 is a quadratic, so f_h(g) needs only
+    the count c and the sums S1, S2 of y and y^2 over g's window, the sample
+    points within h of g, which two binary searches find in the sorted
+    sample: f_h(g) = 0.75/(nh) max(0, c - (c g'^2 - 2 g' S1 + S2)), with
+    y = (x - o)/h and g' = (g - o)/h. The grid is cut into blocks no wider
+    than h, o is each block's first grid point, and a block's running sums
+    of y and y^2 span its points' windows, so 0 <= g' <= 1, -1 <= y <= 2,
+    and the cancellation costs a few ulps of c. The windows are exact
+    (_reach), so no term is negative, and a grid point with an empty window
+    reads +0.0.
     """
     if config.bandwidth_rule == "rule_of_thumb":
         h = rule_of_thumb_bandwidth(sample)
     else:
         h = cv_bandwidth(sample)
     grid = np.linspace(*sample.support, config.grid_points)
-    values = np.empty(len(grid))
-    n = sample.n
-    order = np.argsort(sample.values)
-    xs = sample.values[order]
-    pad = h + 1e-9 * (h + max(abs(grid[0]), abs(grid[-1])))
-    chunk = max(1, min(64, 2**16 // n))
-    starts = np.arange(0, len(grid), chunk)
-    lows = np.searchsorted(xs, grid[starts] - pad, side="left")
-    highs = np.searchsorted(xs, grid[np.minimum(starts + chunk, len(grid)) - 1] + pad,
-                            side="right")
-    rows = np.zeros((min(chunk, len(grid)), n))
-    cells = rows.reshape(-1)
-    row_offsets = np.arange(len(rows))[:, None] * n
-    for start, lo, hi in zip(starts.tolist(), lows.tolist(), highs.tolist()):
-        g = grid[start:start + chunk]
-        u = np.subtract(g[:, None], xs[lo:hi])
-        u /= h
-        flat = row_offsets[:len(g)] + order[lo:hi]
-        cells[flat] = _epanechnikov(u, out=u)
-        values[start:start + chunk] = rows[:len(g)].sum(axis=1)
-        cells[flat] = 0.0
-    values /= n * h
+    n, m = sample.n, len(grid)
+    xs = np.sort(sample.values)
+    lo = np.searchsorted(xs, _reach(grid, -h), side="left")
+    hi = np.searchsorted(xs, _reach(grid, h), side="right")
+    size = int(min(m, 1.0 + h * (m - 1) / (grid[-1] - grid[0])))  # grid points a block
+    starts = np.arange(0, m, size)
+    origins, lows = grid[starts], lo[starts]
+    row_base, row, col, cumulate = _rows(hi[np.minimum(starts + size, m) - 1] - lows + 1)
+    # column j of a block's row sums y over the first j points of the block's window
+    at = lows[row] + col - 1
+    np.clip(at, 0, n - 1, out=at)
+    sums = np.empty((2, len(row)))
+    np.subtract(xs[at], origins[row], out=sums[0])
+    sums[0] /= h
+    sums[0, col == 0] = 0.0
+    np.square(sums[0], out=sums[1])
+    cumulate(sums)
+    block = np.arange(m) // size
+    base = row_base[block] - lows[block]
+    s1, s2 = sums[:, base + hi] - sums[:, base + lo]
+    count = hi - lo
+    g = (grid - origins[block]) / h
+    values = count - (count * g * g - 2.0 * g * s1 + s2)
+    np.maximum(values, 0.0, out=values)
+    values *= 0.75 / (n * h)
     return DensityEstimate(grid=grid, values=values)
+
+
+def _reach(g: np.ndarray, d: float) -> np.ndarray:
+    """The last float from g toward g + d that lies within |d| of g: fl(g + d),
+    moved one ulp back toward g where it rounded past g + d (the TwoSum error
+    of g + d says where)."""
+    s = g + d
+    t = s - g
+    past = ((g - (s - t)) + (d - t)) * d < 0
+    s[past] = np.nextafter(s[past], g[past])
+    return s
+
+
+def _rows(lengths: np.ndarray):
+    """One flat layout for rows of the given lengths, each padded to the power
+    of two above its length and grouped by that width.
+
+    Returns each row's first flat index, the row and the column of every flat
+    index, and cumulate(values), which turns values[..., flat] into running
+    sums along each row in place, one width at a time, so the padding never
+    exceeds the rows.
+    """
+    widths = 2 ** np.frexp(lengths)[1]
+    by_width = np.argsort(widths, kind="stable")
+    sizes = widths[by_width]
+    row_base = np.empty(len(lengths), dtype=np.int64)
+    row_base[by_width] = np.cumsum(sizes) - sizes
+    row = np.repeat(by_width, sizes)
+    col = np.arange(len(row)) - row_base[row]
+    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
+    groups = [(int(row_base[by_width[a]]), b - a, int(sizes[a])) for a, b in zip(cuts, cuts[1:])]
+
+    def cumulate(values: np.ndarray) -> None:
+        for first, count, width in groups:
+            matrix = values[..., first:first + count * width]
+            matrix = matrix.reshape(*values.shape[:-1], count, width)
+            np.cumsum(matrix, axis=-1, out=matrix)
+
+    return row_base, row, col, cumulate
 
 
 def _over_h(sums: np.ndarray, hs: np.ndarray, k: int) -> np.ndarray:
@@ -138,8 +158,7 @@ def _level_sums(xs: np.ndarray, hs: np.ndarray, w: float) -> np.ndarray:
     y^r = (x - o)^r, r = 1..5. A point i reads its block's row at i and at
     its last partner u - 1, found by a binary search for xs[i] + c; the sums
     of d^m = (y_j - y_i)^m over (i, u) then follow from the binomial
-    expansion. Rows are padded to the power of two above their length and
-    cumulated one width at a time, so the padding never exceeds the rows.
+    expansion. The rows are laid out and cumulated by _rows.
 
     The bits of each h's sums depend on xs, w and h alone: a running sum
     reads only its row up to there, the expansion is elementwise in (h,
@@ -152,23 +171,13 @@ def _level_sums(xs: np.ndarray, hs: np.ndarray, w: float) -> np.ndarray:
     starts = np.flatnonzero(np.concatenate(([True], new)))
     lasts = np.append(starts[1:], n) - 1
     lengths = np.searchsorted(xs, xs[lasts] + 2.0 * hs.max(), side="right") - starts
-    widths = 2 ** np.frexp(lengths)[1]
-    by_width = np.argsort(widths, kind="stable")
-    sizes = widths[by_width]
-    row_base = np.empty(len(starts), dtype=np.int64)
-    row_base[by_width] = np.cumsum(sizes) - sizes
-    row = np.repeat(by_width, sizes)  # the block of each stored value
-    col = np.arange(len(row)) - row_base[row]  # and its position in the row
+    row_base, row, col, cumulate = _rows(lengths)
     rows = np.empty((6, len(row)))
     rows[0] = col + 1
     np.subtract(xs[np.minimum(starts[row] + col, n - 1)], xs[starts[row]], out=rows[1])
     for r in range(2, 6):
         np.multiply(rows[r - 1], rows[1], out=rows[r])
-    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
-    for a, b in zip(cuts, cuts[1:]):
-        first, width = int(row_base[by_width[a]]), int(sizes[a])
-        matrix = rows[1:, first:first + (b - a) * width].reshape(5, b - a, width)
-        np.cumsum(matrix, axis=2, out=matrix)
+    cumulate(rows[1:])
     origin = starts[block]
     base = row_base[block] - origin - 1  # rows[:, base[i] + u]: block(i)'s row through u - 1
     t = xs[origin] - xs  # -y_i

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from wavedens.baseline_kernel import lscv_score
-from wavedens.baseline_kernel import _epanechnikov, _epanechnikov_selfconv
 from wavedens.cli import main, make_fit
 from wavedens.cross_validation import cv_criterion, select_lambda
 from wavedens.estimator import Sample, empirical_coefficients, reconstruct
@@ -21,6 +20,7 @@ from wavedens.risk_metrics import covariance_decay, monte_carlo_risks
 from wavedens.wavelet_basis import build_filter, cascade_tables
 
 from conftest import BENCH_M, CASES, MASTER_SEED
+from test_baseline_kernel import _epanechnikov, _epanechnikov_selfconv
 
 MISE_BAND = (0.03, 0.3)
 J1_BAND = (5.1 - 0.7, 5.1 + 0.7)

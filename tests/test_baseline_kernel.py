@@ -10,8 +10,7 @@ from wavedens import baseline_kernel
 from wavedens.baseline_kernel import (KernelConfig, cv_bandwidth,
                                       kernel_estimate, lscv_score,
                                       rule_of_thumb_bandwidth)
-from wavedens.baseline_kernel import (_epanechnikov, _epanechnikov_selfconv,
-                                      _lscv_scores)
+from wavedens.baseline_kernel import _SELFCONV, _lscv_scores
 from wavedens.cli import make_fit
 from wavedens.estimator import Sample
 from wavedens.processes import ProcessSpec, build_target, simulate
@@ -20,6 +19,40 @@ from wavedens.processes import ProcessSpec, build_target, simulate
 def _epa(u):
     u = np.asarray(u, dtype=np.float64)
     return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+
+
+def _epanechnikov(u: np.ndarray) -> np.ndarray:
+    """0.75 (1 - u^2) where |u| <= 1, else +0.0.
+
+    For finite u, u*u > 1 exactly when |u| > 1, so clipping 0.75 (1 - u*u)
+    at 0 gives the same bits as testing |u| and every zero is +0.0.
+    """
+    return np.maximum(0.75 * (1.0 - np.square(u)), 0.0)
+
+
+def _epanechnikov_selfconv(t: np.ndarray) -> np.ndarray:
+    """(K * K)(t) for the Epanechnikov kernel, supported on [-2, 2], from _SELFCONV."""
+    a = np.abs(t)
+    val = sum(c * a**k for k, c in _SELFCONV.items())
+    return np.where(a <= 2.0, val, 0.0)
+
+
+def _check_against_dense(grid, values, x, h):
+    """The estimate's values on grid against the dense evaluation of every
+    (grid point, sample point) pair with _epa: within 1e-13 of the dense
+    maximum, nonnegative with no -0.0, and exactly +0.0 wherever no sample
+    point x has g - h <= x <= g + h. Returns the count of such empty rows."""
+    rows = max(1, 2**20 // len(x))  # about 8 MB of pairs at a time
+    dense, empty = [], []
+    for a in range(0, len(grid), rows):
+        g = grid[a:a + rows, None]
+        dense.append(_epa((g - x[None, :]) / h).sum(axis=1))
+        empty.append(~np.any((x[None, :] >= g - h) & (x[None, :] <= g + h), axis=1))
+    dense, empty = np.concatenate(dense) / (len(x) * h), np.concatenate(empty)
+    assert np.max(np.abs(values - dense)) <= 1e-13 * dense.max()
+    assert np.all(values >= 0.0) and not np.any(np.signbit(values))
+    assert np.all(values[empty] == 0.0)
+    return int(empty.sum())
 
 
 def _sample(rng, n):
@@ -298,28 +331,21 @@ class TestKernelEstimate:
             assert est.values[idx] == pytest.approx(want, rel=1e-12)
 
     def test_chunked_evaluation_matches_direct(self, rng):
-        """n large enough that the grid is processed in many chunks (8 and
-        32); each row is the same sum as in one dense evaluation, bit for bit."""
+        """n = 1024 and 4096 on 512 points: the running sums stay within the
+        error bound of the dense evaluation."""
         for n in (1024, 4096):
             s = _sample(rng, n)
-            h = rule_of_thumb_bandwidth(s)
             est = kernel_estimate(s, KernelConfig("rule_of_thumb", grid_points=512))
-            dense = _epa((est.grid[:, None] - s.values[None, :]) / h).sum(axis=1)
-            assert np.array_equal(est.values, dense / (n * h))
+            _check_against_dense(est.grid, est.values, s.values, rule_of_thumb_bandwidth(s))
 
     def test_in_place_kernel_matches_the_dense_formula_at_its_edge(self, rng):
         """Dyadic points with h = 0.25 put some g - x at exactly +-h (|u| = 1),
-        where the clipped polynomial meets the zero branch: there the in-place
+        where the clipped polynomial meets the zero branch: there the clipped
         kernel equals the dense np.where. The estimate at h_rot and at the CV
         bandwidth, on the dyadic sample and at the benchmark's size (n = 1024
-        on 4096 points, uniform and lsv alpha = 0.5), equals the dense np.where
-        rows bit for bit, with no -0.0 anywhere; the kernel-cv method returns
-        the same estimate."""
-        def dense_rows(est, x, h):
-            rows = [_epa((est.grid[a:a + 256, None] - x[None, :]) / h).sum(axis=1)
-                    for a in range(0, len(est.grid), 256)]
-            return np.concatenate(rows) / (len(x) * h)
-
+        on 4096 points, uniform and lsv alpha = 0.5), stays within the error
+        bound of the dense rows; the kernel-cv method returns the same
+        estimate."""
         dyadic = Sample(values=rng.integers(0, 65, 300) / 64.0, support=(0.0, 1.0))
         u = (np.linspace(0.0, 1.0, 129)[:, None] - dyadic.values[None, :]) / 0.25
         assert np.any(np.abs(u) == 1.0)
@@ -331,8 +357,7 @@ class TestKernelEstimate:
             for rule, bandwidth in (("rule_of_thumb", rule_of_thumb_bandwidth),
                                     ("cv", cv_bandwidth)):
                 est = kernel_estimate(s, KernelConfig(rule, grid_points=points))
-                assert np.array_equal(est.values, dense_rows(est, s.values, bandwidth(s)))
-                assert not np.any(np.signbit(est.values))
+                _check_against_dense(est.grid, est.values, s.values, bandwidth(s))
         # est is the last estimate of the loop: lsv at the CV bandwidth; the
         # kernel methods read no tables
         fit = make_fit("kernel-cv", None, 4096)(lsv)
@@ -341,40 +366,81 @@ class TestKernelEstimate:
 
     @pytest.mark.parametrize("points", [64, 4097])
     @pytest.mark.parametrize("case", ["window_edges", "shifted", "narrow", "ties",
-                                      "wider_than_support", "n4", "n4096"])
+                                      "wider_than_support", "n4", "n4096", "rounded_edges",
+                                      "far_rounded_edges", "exact_edges", "gap"])
     def test_windowed_blocks_match_the_dense_evaluation(self, monkeypatch, case, points):
-        """Each grid block evaluates the kernel only on the sample points inside
-        its window; the estimate equals the dense evaluation of every
-        (grid, sample) pair bit for bit, with no -0.0. The bandwidth rule is
+        """Each grid point reads its window's sums from its block's running
+        sums; the estimate stays within the error bound of the dense
+        evaluation of every (grid, sample) pair. The bandwidth rule is
         replaced by a fixed h per case:
         - window_edges: h = 0.25 on [0, 1] with dyadic points, so on the
           4097-point grid some g - x are exactly +-h, plus a point h - 2^-40
-          below and above each grid point, which a window narrower than
-          h (1 - 1e-9) would drop;
+          below and above each grid point, which a window narrower than h
+          would drop;
         - shifted and narrow supports, [-3, 5] and [2, 2.5];
         - ties from rounding to 2 decimals;
-        - h = h_rot/10, and h wider than the support;
-        - n = 4 and n = 4096 (blocks of 64 and of 16 rows).
-        4097 points leave a partial last block for every n here."""
+        - h = h_rot/10, and h wider than the support (one block);
+        - n = 4 and n = 4096;
+        - rounded_edges: h = 0.3 grid steps and points at fl(g - h) and
+          fl(g + h) for each inner grid point g, on [0, 1] and on
+          [1000, 1001], where those lie up to 1e-12 h past the exact edge
+          and would add negative kernel values to a window taken from
+          fl(g +- h);
+        - exact_edges: on [1000, 1001], h = 2.3 grid steps rounded to a
+          multiple of 2^-40 and a point at g - h and at g + h, exact on the
+          4097-point grid, for every tenth grid point g, whose window holds
+          only those two: their kernel values are 0, which the rounded sums
+          can read as slightly negative;
+        - gap: one point at 0 and the rest within 1% of 1, so the running
+          sums would carry a |y| near 1/h_rot if a row began with the point
+          before its window.
+        The h_rot/10 cases, narrow and n4096, the rounded edges and the gap
+        leave some grid points with no sample point in their window."""
         rng = np.random.default_rng(7)
-        lo, hi = {"shifted": (-3.0, 5.0), "narrow": (2.0, 2.5)}.get(case, (0.0, 1.0))
+        lo, hi = {"shifted": (-3.0, 5.0), "narrow": (2.0, 2.5),
+                  "far_rounded_edges": (1000.0, 1001.0),
+                  "exact_edges": (1000.0, 1001.0)}.get(case, (0.0, 1.0))
         unit = {"n4": np.array([0.1, 0.35, 0.6, 0.9]), "n4096": rng.beta(2, 3, 4096),
                 "ties": np.round(rng.random(1024), 2)}.get(case, rng.beta(2, 3, 1024))
+        if case == "gap":
+            unit = np.append(0.0, 0.99 + 0.01 * rng.random(1023))
         x = lo + (hi - lo) * unit
+        grid = np.linspace(lo, hi, points)
+        step = (hi - lo) / (points - 1)
+        exact = round(2.3 * step * 2**40) / 2**40  # the exact_edges h
         if case == "window_edges":
-            grid = np.linspace(lo, hi, points)
             near = np.concatenate((grid - 0.25 + 2.0**-40, grid + 0.25 - 2.0**-40))
             x = np.concatenate((np.arange(65) / 64.0, near[(near >= lo) & (near <= hi)]))
+        if case.endswith("rounded_edges"):
+            x = np.concatenate((grid[1:-1] - 0.3 * step, grid[1:-1] + 0.3 * step, x))
+        if case == "exact_edges":
+            x = np.concatenate((grid[10:-10:10] - exact, grid[10:-10:10] + exact))
         s = Sample(values=x, support=(lo, hi))
         h_rot = rule_of_thumb_bandwidth(s)
         h = {"window_edges": 0.25, "narrow": h_rot / 10.0, "n4096": h_rot / 10.0,
-             "wider_than_support": 3.0 * (hi - lo)}.get(case, h_rot)
+             "wider_than_support": 3.0 * (hi - lo), "rounded_edges": 0.3 * step,
+             "far_rounded_edges": 0.3 * step, "exact_edges": exact}.get(case, h_rot)
         monkeypatch.setattr(baseline_kernel, "rule_of_thumb_bandwidth", lambda _: h)
         est = kernel_estimate(s, KernelConfig("rule_of_thumb", grid_points=points))
-        dense = [_epa((est.grid[a:a + 256, None] - x[None, :]) / h).sum(axis=1)
-                 for a in range(0, points, 256)]
-        assert np.array_equal(est.values, np.concatenate(dense) / (len(x) * h))
-        assert not np.any(np.signbit(est.values))
+        empty = _check_against_dense(est.grid, est.values, x, h)
+        assert (empty > 0) == (case in ("narrow", "n4096", "rounded_edges",
+                                        "far_rounded_edges", "exact_edges", "gap"))
+
+    def test_scales_to_n65536(self):
+        """n = 65536 on 4096 points: every 16th row within the error bound of
+        the dense evaluation, and a tracemalloc peak under 32 MB; a dense
+        buffer of the grid by the sample would take 2 GB."""
+        s = simulate(ProcessSpec(case="iid", n=65536, seed=1,
+                                 target=build_target("sine_uniform_mixture")))
+        tracemalloc.start()
+        try:
+            est = kernel_estimate(s, KernelConfig("rule_of_thumb", grid_points=4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        _check_against_dense(est.grid[::16], est.values[::16], s.values,
+                             rule_of_thumb_bandwidth(s))
 
     def test_grid_spans_support(self, rng):
         s = _sample(rng, 20)
@@ -398,3 +464,11 @@ class TestKernelConfig:
     def test_bad_rule(self):
         with pytest.raises(ValueError, match="bandwidth_rule"):
             KernelConfig(bandwidth_rule="silverman")
+
+    @pytest.mark.parametrize("points", [0, 1, -3, 2.5])
+    def test_bad_grid_points(self, points):
+        """Refused when the config is built, before any bandwidth or grid:
+        0 failed in the evaluation, 1 in DensityEstimate, -3 and 2.5 in
+        np.linspace."""
+        with pytest.raises(ValueError, match="grid_points"):
+            KernelConfig(grid_points=points)

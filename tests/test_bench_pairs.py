@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py: the sign test it reports for each metric."""
+"""tools/bench_pairs.py: the sign test it reports for each metric and its closing summary."""
 
 import importlib
 from pathlib import Path
@@ -35,3 +35,41 @@ def test_summary_leaves_ties_out(bench_pairs):
     assert out["items_per_s"]["sign_test_p"] == pytest.approx(2 * 10 / 512, rel=1e-12)
     assert out["setup_s"]["head_better_pairs"] == 1
     assert out["setup_s"]["sign_test_p"] == pytest.approx(2 * 10 / 512, rel=1e-12)
+
+
+def _pairs(base, head, digests=None):
+    return [{"seed": seed, "base": {"items_per_s": b, "setup_s": b},
+             "head": {"items_per_s": h, "setup_s": h},
+             "ratio": {"items_per_s": h / b, "setup_s": h / b},
+             "digests": (digests or {}).get(seed, {"base": {"ref": "a"}, "head": {"ref": "a"}})}
+            for seed, (b, h) in enumerate(zip(base, head), start=1)]
+
+
+def _closing(bench_pairs, pairs):
+    entry = {"summary": bench_pairs._summary(pairs, {"items_per_s": "higher",
+                                                     "setup_s": "lower"}),
+             "digests": bench_pairs._digests(pairs), "pairs": pairs}
+    return bench_pairs._closing_lines("mc-baselines", entry)
+
+
+def test_closing_summary_per_metric(bench_pairs):
+    """Median ratio, ratio range, head-better count and the base IQR as a
+    share of the base median: base 8, 10, 10, 12 has quartiles 8.5 and 11.5
+    (statistics.quantiles' exclusive method), an IQR of 30% of 10."""
+    pairs = _pairs([8.0, 10.0, 10.0, 12.0], [16.0, 20.0, 30.0, 12.0])
+    lines = _closing(bench_pairs, pairs)
+    assert lines[0] == ("mc-baselines items_per_s: head/base x2.000 (pairs x1.000 to x3.000), "
+                        "head better in 3 of 4, base IQR 30.0% of its median")
+    assert lines[1] == ("mc-baselines setup_s: head/base x2.000 (pairs x1.000 to x3.000), "
+                        "head better in 0 of 4, base IQR 30.0% of its median")
+    assert lines[2] == "mc-baselines digests: digests equal"
+    assert len(lines) == 3
+
+
+def test_closing_summary_names_the_differing_digests(bench_pairs):
+    """Each key that differs in any pair is named once, in sorted order."""
+    differ = {"base": {"ref": "a", "seeded": "b", "same": "c"},
+              "head": {"ref": "x", "seeded": "y", "same": "c"}}
+    one = {"base": {"ref": "a", "seeded": "b"}, "head": {"ref": "x", "seeded": "b"}}
+    pairs = _pairs([10.0] * 3, [11.0] * 3, {1: differ, 2: one})
+    assert _closing(bench_pairs, pairs)[-1] == "mc-baselines digests: differ in ref, seeded"

@@ -25,6 +25,12 @@ itself runs, as perfbench/stability.py defaults to. Writes one JSON file with:
   share of it in the generated _taps.py;
 - the core count, the CPU, and the Python and numpy versions.
 
+It ends by printing, for each workload, one line per end-to-end metric (the
+median head/base ratio, the range of the pair ratios, the count of pairs in
+which the head side is better, and the base runs' interquartile range as a
+share of their median) and one line naming the digest keys that differ
+between the sides, or "digests equal".
+
 Standard library only; run from anywhere inside the repository.
 """
 
@@ -163,6 +169,23 @@ def _digests(pairs: list[dict]) -> dict:
             "by_seed": {p["seed"]: p["digests"]["head"] for p in pairs}}
 
 
+def _closing_lines(workload: str, entry: dict) -> list[str]:
+    """One workload's closing summary: a line per metric and one for the digests."""
+    lines = []
+    for name, metric in entry["summary"].items():
+        low, high = metric["ratio_range"]
+        base = metric["base"]
+        spread = base["iqr"] / base["median"] if base["median"] else float("nan")
+        lines.append(f"{workload} {name}: head/base x{metric['ratio_median']:.3f} "
+                     f"(pairs x{low:.3f} to x{high:.3f}), head better in "
+                     f"{metric['head_better_pairs']} of {len(entry['pairs'])}, "
+                     f"base IQR {spread:.1%} of its median")
+    keys = sorted({m["key"] for m in entry["digests"]["mismatches"]})
+    lines.append(f"{workload} digests: " + (f"differ in {', '.join(keys)}" if keys
+                                            else "digests equal"))
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -215,6 +238,8 @@ def main() -> int:
                 "pairs": [{k: v for k, v in p.items() if k != "digests"} for p in pairs]}
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
+    for workload, entry in report["workloads"].items():
+        print("\n".join(_closing_lines(workload, entry)))
     return 0
 
 
