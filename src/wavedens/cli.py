@@ -223,37 +223,32 @@ def load_config(path: str, seed: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# fit adapters: method name -> Sample -> Fit
-
-def _cv_fit(sample, tables, mode, grid_points):
-    estimate, sel = fit_cv(sample, tables, mode=mode, grid_points=grid_points)
-    return Fit(estimate, j1=sel.j1_hat, lambdas=sel.lambdas,
-               killed_fraction=sel.killed_fraction, diagnostics=sel)
-
-
-def _theoretical_fit(sample, tables, mode, grid_points, K, b):
-    plan = theoretical_plan(sample.n, tables.vanishing_moments, b=b, K=K, mode=mode)
-    coeffs = apply_plan(empirical_coefficients(sample, tables, plan.j0, plan.j1), plan)
-    return Fit(reconstruct(coeffs, tables, grid_points), j1=plan.j1,
-               lambdas=plan.lambdas, killed_fraction=coeffs.zero_fractions())
-
-
-def _kernel_fit(sample, rule, grid_points):
-    config = KernelConfig(bandwidth_rule=rule, grid_points=grid_points)
-    return Fit(kernel_estimate(sample, config))
-
+# fit binding: method name -> Sample -> Fit
 
 def make_fit(method: str, tables: WaveletTables, grid_points: int,
              K: float = ExperimentConfig.K, b: float = ExperimentConfig.b):
-    """Bind a method name to a fit callable usable by monte_carlo_risks."""
+    """Bind a method name to a fit callable usable by monte_carlo_risks; the fit
+    reads fit_cv, empirical_coefficients and kernel_estimate from this module
+    each time it runs, so a name patched here is the one called."""
     if method in ("HTCV", "STCV"):
-        return lambda s: _cv_fit(s, tables, method, grid_points)
+        def cv_fit(sample):
+            estimate, sel = fit_cv(sample, tables, mode=method, grid_points=grid_points)
+            return Fit(estimate, j1=sel.j1_hat, lambdas=sel.lambdas,
+                       killed_fraction=sel.killed_fraction, diagnostics=sel)
+        return cv_fit
     if method in ("theoretical-hard", "theoretical-soft"):
         mode = method.split("-")[1]
-        return lambda s: _theoretical_fit(s, tables, mode, grid_points, K, b)
+
+        def theoretical_fit(sample):
+            plan = theoretical_plan(sample.n, tables.vanishing_moments, b=b, K=K, mode=mode)
+            coeffs = apply_plan(empirical_coefficients(sample, tables, plan.j0, plan.j1), plan)
+            return Fit(reconstruct(coeffs, tables, grid_points), j1=plan.j1,
+                       lambdas=plan.lambdas, killed_fraction=coeffs.zero_fractions())
+        return theoretical_fit
     if method in ("kernel-rot", "kernel-cv"):
         rule = "rule_of_thumb" if method == "kernel-rot" else "cv"
-        return lambda s: _kernel_fit(s, rule, grid_points)
+        config = KernelConfig(bandwidth_rule=rule, grid_points=grid_points)
+        return lambda sample: Fit(kernel_estimate(sample, config))
     raise ConfigError(f"unknown method {method!r}, expected one of {METHODS}")
 
 
@@ -416,11 +411,11 @@ def benchmark(ctx):
         raise ConfigError(f"benchmark needs M >= 2 replicates, got M={cfg.M}")
     out_dir = Path(cfg.out)
     tables = cfg.tables()
+    fits = {method: make_fit(method, tables, cfg.grid_points, K=cfg.K, b=cfg.b)
+            for method in cfg.methods}
     reports = []
     for block, label in zip(cfg.cases, _case_labels(cfg.cases)):
         for n in cfg.n:
-            fits = {method: make_fit(method, tables, cfg.grid_points, K=cfg.K, b=cfg.b)
-                    for method in cfg.methods}
             reports += [replace(r, case=label) for r in monte_carlo_risks(
                 cfg.process_spec(block, n), fits, cfg.M, p_list=cfg.p,
                 moment_orders=cfg.moments)]

@@ -205,21 +205,22 @@ def build_target(kind: str, params: dict | None = None) -> TargetDensity:
     return _tabulated_target(kind, params["density"], (lo, hi))
 
 
-def _orbit(z: float, step: Callable[[float, float], float], theta: float,
-           fixed: tuple[float, float], n: int, burn: int, warning: str) -> np.ndarray:
-    """States burn .. burn + n - 1 of the orbit z, step(z, theta), ...
+def _orbit(start: Callable[[], float], step: Callable[[float, float], float], theta: float,
+           n: int, burn: int, warning: str) -> np.ndarray:
+    """States burn .. burn + n - 1 of the orbit start(), step(z, theta), ...
 
-    A state at one of the map's two fixed points is moved one ulp toward 1/2,
-    with the warning, before it is recorded and stepped.
+    A state that step leaves unchanged in floating point (a fixed point, or a
+    point too close to one for the step to move it) is followed by a fresh
+    start(), with the warning, so the orbit never sticks.
     """
-    lo, hi = fixed
+    z = start()
     states = []
     for _ in range(burn + n):
-        if z == lo or z == hi:
-            z = math.nextafter(z, 0.5)
-            warnings.warn(warning)
         states.append(z)
-        z = step(z, theta)
+        z, last = step(z, theta), z
+        if z == last:
+            warnings.warn(warning)
+            z = start()
     return np.array(states[burn:])
 
 
@@ -275,8 +276,8 @@ def simulate(spec: ProcessSpec) -> Sample:
     rng = _rng(spec.seed)
     if spec.case == "lsv":
         # a uniform start; the sample is states n + 1 .. 2n
-        values = _orbit(rng.random(), lsv_step, spec.lsv_alpha, (0.0, 1.0), spec.n, spec.n + 1,
-                        "lsv trajectory hit a boundary fixed point; perturbed by one ulp")
+        values = _orbit(rng.random, lsv_step, spec.lsv_alpha, spec.n, spec.n + 1,
+                        "lsv orbit stuck at or near a boundary fixed point; restarted")
         return Sample(values, (0.0, 1.0))
 
     target = spec.target
@@ -284,9 +285,9 @@ def simulate(spec: ProcessSpec) -> Sample:
         u = rng.random(spec.n)
     elif spec.case == "logistic_map":
         # started from the invariant (arcsine) law, r = 4
-        y = _orbit(math.sin(math.pi * rng.random() / 2.0) ** 2, lambda y, r: r * y * (1.0 - y),
-                   4.0, (0.0, 0.75), spec.n, 0,
-                   "logistic trajectory hit a fixed point; perturbed by one ulp")
+        y = _orbit(lambda: math.sin(math.pi * rng.random() / 2.0) ** 2,
+                   lambda y, r: r * y * (1.0 - y), 4.0, spec.n, 0,
+                   "logistic orbit hit a fixed point; restarted from the arcsine law")
         u = (2.0 / math.pi) * np.arcsin(np.sqrt(y))
     else:  # noncausal_ar
         y = _case3_latent(spec.n, rng)

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import wavedens
-from wavedens.cli import ConfigError, load_config, main
+from wavedens.cli import (METHODS, ConfigError, ExperimentConfig, load_config, main,
+                          make_fit)
 from wavedens.processes import ProcessSpec, build_target, derived_seed, simulate
 from wavedens.risk_metrics import covariance_decay
 from wavedens.wavelet_basis import build_filter, cascade_tables
@@ -229,6 +230,15 @@ class TestLoadConfig:
             load_config(path)
         assert main(["--config", path, "simulate"]) == 2
 
+    def test_comparison_config_loads(self):
+        """The checked-in wavelet-against-kernel comparison config."""
+        cfg = load_config(str(Path(__file__).parents[1] / "configs" / "comparison.json"))
+        assert [b["case"] for b in cfg.cases] == ["iid", "logistic_map", "noncausal_ar"]
+        assert all("target" not in b for b in cfg.cases)
+        assert cfg.methods == ("HTCV", "STCV", "kernel-rot", "kernel-cv")
+        assert (cfg.n, cfg.M, cfg.p) == ((1024, 4096, 16384, 65536), 100, (1.0, 2.0))
+        assert cfg.seed == ExperimentConfig.seed
+
     def test_benchmark_configs_load(self, tmp_path, monkeypatch):
         """The benchmark writes its own configs, "threads" included; the schema
         must accept every one of them."""
@@ -260,6 +270,24 @@ class TestLoadConfig:
         cfg = load_config(write_config(tmp_path, cases=[{"case": "lsv", "lsv_alpha": 0.5}]))
         assert (cfg.process_spec(cfg.cases[0], 256)
                 == workloads.process_spec("lsv", 256, seed=cfg.seed))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_bound_fits_call_the_names_patched_in_cli(self, monkeypatch, sym8_tables,
+                                                       sine_target, method):
+        """The traced benchmark run patches fit_cv, empirical_coefficients and
+        kernel_estimate in wavedens.cli; a fit bound before the patch must call
+        the patched name, once."""
+        fit = make_fit(method, sym8_tables, 256, b=100.0)
+        calls = []
+        for name in ("fit_cv", "empirical_coefficients", "kernel_estimate"):
+            def counted(*args, _name=name, _original=getattr(wavedens.cli, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(wavedens.cli, name, counted)
+        fit(simulate(ProcessSpec("iid", 512, seed=3, target=sine_target)))
+        want = ("fit_cv" if method.endswith("CV") else "empirical_coefficients"
+                if method.startswith("theoretical") else "kernel_estimate")
+        assert calls == [want]
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

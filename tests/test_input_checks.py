@@ -38,6 +38,8 @@ CASES = {
         ValueError, "no mass"),
     "unknown method": (lambda mp, t: make_fit("kernel-xx", t, 128),
                        ConfigError, "unknown method 'kernel-xx'"),
+    "kernel fit grid points": (lambda mp, t: make_fit("kernel-rot", t, 1),
+                               ValueError, "grid_points must be an integer >= 2"),
     "taps sum": (lambda mp, t: _bad_taps(mp, (1.0, 1.0)), ValueError, "do not sum to sqrt"),
     "taps QMF": (lambda mp, t: _bad_taps(mp, (2.0**0.5, 0.0)),
                  ValueError, "QMF identity at shift 0"),

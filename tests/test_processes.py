@@ -9,10 +9,29 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import wavedens.processes as proc
 from wavedens.processes import (ProcessSpec, _case3_latent, _case3_noise, _rng, build_target,
                                 case3_marginal_cdf, derived_seed, lsv_step, simulate)
 
 KS_ALPHA = 1e-3
+
+
+class _FirstDraw:
+    """An rng whose first draw is `first` and whose later draws are _rng(seed)'s."""
+
+    def __init__(self, first, seed):
+        self.first, self.real = [first], _rng(seed)
+
+    def random(self, size=None):
+        return self.first.pop() if self.first else self.real.random(size)
+
+
+def _lsv_orbit(z, alpha, length):
+    """The first `length` states of lsv_step's orbit from z, in plain floats."""
+    states = [z]
+    while len(states) < length:
+        states.append(lsv_step(states[-1], alpha))
+    return np.array(states)
 
 
 def _invert_marginal_cdf(u):
@@ -343,29 +362,40 @@ class TestIntermittentMap:
         assert abs(slope - (-0.5)) < 0.3
 
     def test_boundary_start_is_perturbed(self, monkeypatch):
-        class ZeroFirst:
-            def random(self, size=None):
-                return 0.0
-
-        import wavedens.processes as proc
-        monkeypatch.setattr(proc, "_rng", lambda seed: ZeroFirst())
+        """A start at 0, which the map keeps, is recorded once and followed by a
+        fresh uniform draw u: the sample is states n .. 2n - 1 of u's orbit."""
+        monkeypatch.setattr(proc, "_rng", lambda seed: _FirstDraw(0.0, seed))
         with pytest.warns(UserWarning, match="boundary"):
             s = simulate(ProcessSpec("lsv", 8, seed=0, lsv_alpha=0.5))
-        assert np.all((s.values > 0) & (s.values < 1))
+        assert np.array_equal(s.values, _lsv_orbit(_rng(0).random(), 0.5, 16)[8:])
 
     def test_boundary_mid_orbit_is_perturbed(self, monkeypatch):
-        """A start at exactly 1/2 steps to exactly 1.0, a fixed point of 2x - 1.
-        Moved one ulp inward, the state doubles its distance from 1 back to
-        1/2 at state 53 and steps to 1.0 again at state 54, which n = 32
-        records (states 33 .. 64): it too is moved inward before it is kept."""
-        class HalfFirst:
-            def random(self, size=None):
-                return 0.5
-
-        import wavedens.processes as proc
-        monkeypatch.setattr(proc, "_rng", lambda seed: HalfFirst())
-        assert lsv_step(0.5, 0.5) == 1.0
+        """A start at exactly 1/2 steps to exactly 1.0, a fixed point of 2x - 1;
+        after 1.0 the orbit restarts from a fresh uniform draw u, so the sample
+        is states n - 1 .. 2n - 2 of u's orbit."""
+        monkeypatch.setattr(proc, "_rng", lambda seed: _FirstDraw(0.5, seed))
+        assert lsv_step(0.5, 0.5) == 1.0 == lsv_step(1.0, 0.5)
         with pytest.warns(UserWarning, match="boundary"):
             s = simulate(ProcessSpec("lsv", 32, seed=0, lsv_alpha=0.5))
-        assert np.all((s.values > 0) & (s.values < 1))
-        assert s.values[0] == 1.0 - 2.0**-21 and s.values[54 - 33] == 1.0 - 2.0**-53
+        assert np.array_equal(s.values, _lsv_orbit(_rng(0).random(), 0.5, 63)[31:])
+
+
+class TestStuckOrbits:
+    @pytest.mark.parametrize("case, first", [("lsv", 0.0), ("lsv", 0.5), ("lsv", 1e-40),
+                                             ("logistic_map", 0.0)])
+    def test_an_orbit_that_stops_moving_restarts(self, sine_target, monkeypatch,
+                                                 case, first):
+        """Bad first draws, later draws real. lsv from 0 stays at 0, from 1/2
+        reaches the fixed point 1.0, and from 1e-40 at alpha 0.5 never moves in
+        floating point; each must warn and give n distinct values. Logistic
+        from 0 may keep only its recorded start below 1e-6."""
+        monkeypatch.setattr(proc, "_rng", lambda seed: _FirstDraw(first, seed))
+        n = 1024
+        spec = (ProcessSpec("lsv", n, seed=5, lsv_alpha=0.5) if case == "lsv"
+                else ProcessSpec(case, n, seed=5, target=sine_target))
+        with pytest.warns(UserWarning, match="boundary" if case == "lsv" else "fixed point"):
+            values = simulate(spec).values
+        if case == "lsv":
+            assert len(np.unique(values)) == n
+        else:
+            assert np.count_nonzero(values < 1e-6) <= 1
