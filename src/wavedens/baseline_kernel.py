@@ -61,7 +61,7 @@ def kernel_estimate(sample: Sample, config: KernelConfig = KernelConfig()) -> De
     sample: f_h(g) = 0.75/(nh) max(0, c - (c g'^2 - 2 g' S1 + S2)), with
     y = (x - o)/h and g' = (g - o)/h. The grid is cut into blocks no wider
     than h, o is each block's first grid point, and a block's running sums
-    of y and y^2 span its points' windows, so 0 <= g' <= 1, -1 <= y <= 2,
+    (_running_sums) span its points' windows, so 0 <= g' <= 1, -1 <= y <= 2,
     and the cancellation costs a few ulps of c. The windows are exact
     (_reach), so no term is negative, and a grid point with an empty window
     reads +0.0.
@@ -77,21 +77,11 @@ def kernel_estimate(sample: Sample, config: KernelConfig = KernelConfig()) -> De
     hi = np.searchsorted(xs, _reach(grid, h), side="right")
     size = int(min(m, 1.0 + h * (m - 1) / (grid[-1] - grid[0])))  # grid points a block
     starts = np.arange(0, m, size)
-    origins, lows = grid[starts], lo[starts]
-    row_base, row, col, cumulate = _rows(hi[np.minimum(starts + size, m) - 1] - lows + 1)
-    # column j of a block's row sums y over the first j points of the block's window
-    at = lows[row] + col - 1
-    np.clip(at, 0, n - 1, out=at)
-    sums = np.empty((2, len(row)))
-    np.subtract(xs[at], origins[row], out=sums[0])
-    sums[0] /= h
-    sums[0, col == 0] = 0.0
-    np.square(sums[0], out=sums[1])
-    cumulate(sums)
+    origins = grid[starts]
+    sums, base = _running_sums(xs, lo[starts], hi[np.minimum(starts + size, m) - 1], origins, h, 2)
     block = np.arange(m) // size
-    base = row_base[block] - lows[block]
-    s1, s2 = sums[:, base + hi] - sums[:, base + lo]
-    count = hi - lo
+    base = base[block]
+    count, s1, s2 = sums[:, base + hi] - sums[:, base + lo]
     g = (grid - origins[block]) / h
     values = count - (count * g * g - 2.0 * g * s1 + s2)
     np.maximum(values, 0.0, out=values)
@@ -110,32 +100,39 @@ def _reach(g: np.ndarray, d: float) -> np.ndarray:
     return s
 
 
-def _rows(lengths: np.ndarray):
-    """One flat layout for rows of the given lengths, each padded to the power
-    of two above its length and grouped by that width.
+def _running_sums(xs: np.ndarray, starts: np.ndarray, ends: np.ndarray, origins: np.ndarray,
+                  scale: float, powers: int):
+    """Running sums of y^r, r = 0..powers, over blocks of the sorted sample xs.
 
-    Returns each row's first flat index, the row and the column of every flat
-    index, and cumulate(values), which turns values[..., flat] into running
-    sums along each row in place, one width at a time, so the padding never
-    exceeds the rows.
+    Block b runs over xs[starts[b]:ends[b]] with y = (xs[i] - origins[b]) / scale.
+    Returns (sums, base) such that sums[r, base[b] + u], for starts[b] <= u
+    <= ends[b], is the sum of y^r over starts[b] <= i < u; row 0 counts.
+    A block's row starts with a zero column and is padded to the power of two
+    above its length; rows of one width are cumulated together, so the
+    padding never exceeds the rows. Powers are repeated products of y.
     """
-    widths = 2 ** np.frexp(lengths)[1]
+    widths = 2 ** np.frexp(ends - starts + 1)[1]
     by_width = np.argsort(widths, kind="stable")
     sizes = widths[by_width]
-    row_base = np.empty(len(lengths), dtype=np.int64)
-    row_base[by_width] = np.cumsum(sizes) - sizes
+    first = np.empty(len(starts), dtype=np.int64)
+    first[by_width] = np.cumsum(sizes) - sizes
     row = np.repeat(by_width, sizes)
-    col = np.arange(len(row)) - row_base[row]
+    sums = np.empty((powers + 1, len(row)))
+    col = np.arange(len(row)) - first[row]
+    sums[0] = col
+    at = starts[row] + col - 1
+    np.clip(at, 0, len(xs) - 1, out=at)
+    np.subtract(xs[at], origins[row], out=sums[1])
+    sums[1] /= scale
+    sums[1, first] = 0.0
+    for r in range(2, powers + 1):
+        np.multiply(sums[r - 1], sums[1], out=sums[r])
     cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
-    groups = [(int(row_base[by_width[a]]), b - a, int(sizes[a])) for a, b in zip(cuts, cuts[1:])]
-
-    def cumulate(values: np.ndarray) -> None:
-        for first, count, width in groups:
-            matrix = values[..., first:first + count * width]
-            matrix = matrix.reshape(*values.shape[:-1], count, width)
-            np.cumsum(matrix, axis=-1, out=matrix)
-
-    return row_base, row, col, cumulate
+    for a, b in zip(cuts, cuts[1:]):
+        start, width = int(first[by_width[a]]), int(sizes[a])
+        matrix = sums[1:, start:start + (b - a) * width].reshape(powers, b - a, width)
+        np.cumsum(matrix, axis=-1, out=matrix)
+    return sums, first - starts
 
 
 def _over_h(sums: np.ndarray, hs: np.ndarray, k: int) -> np.ndarray:
@@ -158,7 +155,7 @@ def _level_sums(xs: np.ndarray, hs: np.ndarray, w: float) -> np.ndarray:
     y^r = (x - o)^r, r = 1..5. A point i reads its block's row at i and at
     its last partner u - 1, found by a binary search for xs[i] + c; the sums
     of d^m = (y_j - y_i)^m over (i, u) then follow from the binomial
-    expansion. The rows are laid out and cumulated by _rows.
+    expansion. The rows are laid out and cumulated by _running_sums.
 
     The bits of each h's sums depend on xs, w and h alone: a running sum
     reads only its row up to there, the expansion is elementwise in (h,
@@ -170,16 +167,10 @@ def _level_sums(xs: np.ndarray, hs: np.ndarray, w: float) -> np.ndarray:
     block = np.concatenate(([0], np.cumsum(new)))
     starts = np.flatnonzero(np.concatenate(([True], new)))
     lasts = np.append(starts[1:], n) - 1
-    lengths = np.searchsorted(xs, xs[lasts] + 2.0 * hs.max(), side="right") - starts
-    row_base, row, col, cumulate = _rows(lengths)
-    rows = np.empty((6, len(row)))
-    rows[0] = col + 1
-    np.subtract(xs[np.minimum(starts[row] + col, n - 1)], xs[starts[row]], out=rows[1])
-    for r in range(2, 6):
-        np.multiply(rows[r - 1], rows[1], out=rows[r])
-    cumulate(rows[1:])
+    ends = np.searchsorted(xs, xs[lasts] + 2.0 * hs.max(), side="right")
+    rows, base = _running_sums(xs, starts, ends, xs[starts], 1.0, 5)
+    base = base[block]  # rows[:, base[i] + u]: block(i)'s sums over its points below u
     origin = starts[block]
-    base = row_base[block] - origin - 1  # rows[:, base[i] + u]: block(i)'s row through u - 1
     t = xs[origin] - xs  # -y_i
     # d^m is the sum over r of C(m, r) t^(m-r) y_j^r; the part of each
     # running sum up to i itself is one value per point, subtracted once

@@ -10,7 +10,7 @@ from wavedens import baseline_kernel
 from wavedens.baseline_kernel import (KernelConfig, cv_bandwidth,
                                       kernel_estimate, lscv_score,
                                       rule_of_thumb_bandwidth)
-from wavedens.baseline_kernel import _SELFCONV, _lscv_scores
+from wavedens.baseline_kernel import _SELFCONV, _lscv_scores, _running_sums
 from wavedens.cli import make_fit
 from wavedens.estimator import Sample
 from wavedens.processes import ProcessSpec, build_target, simulate
@@ -198,6 +198,34 @@ def _reference_lscv_scores(sample, hs):
         loo = 2.0 * sum_k / ((n - 1) * h)
         scores[i] = sq_norm - 2.0 * loo / n
     return scores.tolist()
+
+
+class TestRunningSums:
+    def test_rows_are_the_cumulative_powers(self, rng):
+        """Each block's row in _running_sums is its count and the cumulative
+        sums of y^r bit for bit, led by a zero: on 300 sorted points rounded
+        to 2 decimals (ties), with blocks of 0 to 64 points in shuffled order,
+        across every power-of-two padding boundary and one block that ends at
+        the last point, for origins at the blocks' first points with scale
+        1.0 and for shifted origins with scale 0.037, up to powers 2 and 5."""
+        xs = np.sort(np.round(rng.random(300), 2))
+        lengths = rng.permutation([0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64])
+        starts = np.arange(16) * 14
+        starts[-1] = 300 - lengths[-1]
+        ends = starts + lengths
+        for origins, scale in ((xs[starts], 1.0), (xs[starts] - 0.1 - 0.01 * np.arange(16), 0.037)):
+            for powers in (2, 5):
+                sums, base = _running_sums(xs, starts, ends, origins, scale, powers)
+                assert sums.shape[0] == powers + 1
+                for b, (s, e) in enumerate(zip(starts, ends)):
+                    row = sums[:, base[b] + np.arange(s, e + 1)]
+                    assert np.array_equal(row[0], np.arange(e - s + 1))
+                    y = (xs[s:e] - origins[b]) / scale
+                    power = y
+                    for r in range(1, powers + 1):
+                        want = np.concatenate([[0.0], np.cumsum(power)])
+                        assert row[r].tobytes() == want.tobytes(), (b, r)
+                        power = power * y
 
 
 class TestLscvPrefixSums:
