@@ -469,10 +469,18 @@ def diagnose_decay(ctx):
     out_dir = Path(cfg.out)
     j, k, n, max_lag = (cfg.decay_settings[key] for key in ("j", "k", "n", "max_lag"))
     tables = cfg.tables()
+    labels = _case_labels(cfg.cases)
+    specs = [replace(cfg.process_spec(block, n), seed=derived_seed(cfg.seed, i))
+             for i, block in enumerate(cfg.cases)]
+    for spec, label in zip(specs, labels):  # a probe off the support reads 0 everywhere
+        k_min, k_max = tables.k_range(j, *spec.support)
+        if not k_min < k < k_max - 1:
+            raise ConfigError(f"decay.k = {k} puts the probe phi_{{{j},{k}}} off the support "
+                              f"{list(spec.support)} of case block {label!r}; at j = {j} "
+                              f"only k in {k_min + 1} .. {k_max - 2} meets it")
     outputs: list = []
     summary = []
-    for i, (block, label) in enumerate(zip(cfg.cases, _case_labels(cfg.cases))):
-        spec = replace(cfg.process_spec(block, n), seed=derived_seed(cfg.seed, i))
+    for spec, label in zip(specs, labels):
         prof = covariance_decay(simulate(spec), tables, j=j, k=k, max_lag=max_lag)
         rows = [{"lag": int(r), "covariance": float(c), "floor": float(f)}
                 for r, c, f in zip(prof.lags, prof.covariances, prof.floor)]

@@ -43,7 +43,7 @@ __all__ = [
     "fit_cv",
 ]
 
-_MODES = ("HTCV", "STCV")
+_RULES = {"HTCV": "hard", "STCV": "soft"}  # each mode's thresholding rule
 _ZERO_TOL = 1e-12
 
 
@@ -79,8 +79,8 @@ class CvSelection:
     killed_fraction: dict[int, float] | None = None
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in _RULES:
+            raise ValueError(f"mode must be one of {tuple(_RULES)}, got {self.mode!r}")
         if not self.j0 <= self.j1_hat <= self.j_star:
             raise ValueError(
                 f"need j0 <= j1_hat <= j_star, got {self.j0}, {self.j1_hat}, {self.j_star}"
@@ -158,8 +158,6 @@ def cv_criterion(sample: Sample, tables: WaveletTables, j: int, lam: float,
     exactly lam^2 times the survivor count. The sum is the threshold search's
     own, so at a selected lam this is its reported value bit for bit.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     _check_threshold(lam)
     lev = _cv_level(sample, tables, j)
     return float(_level_criterion(lev, np.array([float(lam)]), mode)[0])
@@ -167,10 +165,12 @@ def cv_criterion(sample: Sample, tables: WaveletTables, j: int, lam: float,
 
 def _level_criterion(lev: _CvLevel, lams: np.ndarray, mode: str) -> np.ndarray:
     """CV_j at each lam: the survivors {|beta| >= lam} are the suffix of a
-    from searchsorted on."""
+    from searchsorted on. Every entry point reaches the mode here, so it is checked here."""
+    if mode not in _RULES:
+        raise ValueError(f"mode must be one of {tuple(_RULES)}, got {mode!r}")
     i = np.searchsorted(lev.a, lams, side="left")
     vals = lev.suffix[i]
-    if mode == "STCV":
+    if _RULES[mode] == "soft":
         vals = vals + lams * lams * (len(lev.a) - i)
     return vals
 
@@ -199,8 +199,6 @@ def _select_level(lev: _CvLevel, mode: str) -> tuple[float, float]:
 def select_lambda(sample: Sample, tables: WaveletTables, j: int,
                   mode: str = "HTCV") -> float:
     """The threshold minimizing CV_j over all lam >= 0 (ties to smallest)."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     return _select_level(_cv_level(sample, tables, j), mode)[0]
 
 
@@ -212,13 +210,10 @@ def select_j1(criterion_values: dict[int, float], j0: int, j_star: int) -> int:
     """
     if j_star < j0:
         raise ValueError(f"j_star={j_star} below j0={j0}")
-    j1 = None
-    for j in range(j_star, j0 - 1, -1):
-        if abs(criterion_values[j]) <= _ZERO_TOL:
-            j1 = j
-        else:
-            break
-    return j_star if j1 is None else j1
+    j1 = j_star + 1
+    while j1 > j0 and abs(criterion_values[j1 - 1]) <= _ZERO_TOL:
+        j1 -= 1
+    return min(j1, j_star)
 
 
 def fit_cv(sample: Sample, tables: WaveletTables, mode: str = "HTCV",
@@ -236,8 +231,6 @@ def fit_cv(sample: Sample, tables: WaveletTables, mode: str = "HTCV",
     level falls in the simulation study's band. The hard criterion drives a
     hard-thresholded estimate, the soft criterion a soft one.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     n = sample.n
     if n < 2:
         raise ValueError(f"cross validation needs n >= 2, got n={n}")
@@ -260,7 +253,7 @@ def fit_cv(sample: Sample, tables: WaveletTables, mode: str = "HTCV",
         support=sample.support,
     )
     plan = ThresholdPlan(
-        mode="hard" if mode == "HTCV" else "soft",
+        mode=_RULES[mode],
         lambdas={cv.j: cv.lam for cv in criterion_values[:j1_hat - j0 + 1]},
         j0=j0,
         j1=j1_hat,

@@ -83,6 +83,11 @@ class ProcessSpec:
         elif self.target is None:
             raise ValueError(f"case {self.case!r} needs a target density")
 
+    @property
+    def support(self) -> tuple[float, float]:
+        """The interval the regime's samples lie in: [0, 1] for lsv, else the target's."""
+        return (0.0, 1.0) if self.case == "lsv" else self.target.support
+
 
 def derived_seed(master: int, r: int) -> int:
     """Replicate seed: first 8 bytes of SHA-256 over (master, r), little endian."""
@@ -278,7 +283,7 @@ def simulate(spec: ProcessSpec) -> Sample:
         # a uniform start; the sample is states n + 1 .. 2n
         values = _orbit(rng.random, lsv_step, spec.lsv_alpha, spec.n, spec.n + 1,
                         "lsv orbit stuck at or near a boundary fixed point; restarted")
-        return Sample(values, (0.0, 1.0))
+        return Sample(values, spec.support)
 
     target = spec.target
     if spec.case == "iid":

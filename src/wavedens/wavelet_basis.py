@@ -222,6 +222,8 @@ class WaveletTables:
         return float(out[0]) if x_arr.ndim == 0 else out
 
     def k_range(self, j: int, lo: float, hi: float) -> tuple[int, int]:
-        """Inclusive translate range whose supports meet [lo, hi] at level j."""
+        """Inclusive range floor(2^j lo) - N .. ceil(2^j hi) + N at level j: the
+        translates whose supports [(k+1-N)/2^j, (k+N)/2^j] meet [lo, hi] in more
+        than a point, plus its first and last two, which touch it at most at an end."""
         pad = self.vanishing_moments  # supports are [1-N, N]
         return (math.floor(2**j * lo) - pad, math.ceil(2**j * hi) + pad)

@@ -1,5 +1,6 @@
 """Command line: config validation, artifacts, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -309,6 +310,26 @@ class TestLoadConfig:
         decay are hashed as given, wavelet with its defaults filled in)."""
         assert load_config(write_config(tmp_path, **overrides)).sha256() == digest
 
+    def test_readme_table_lists_every_field_with_its_default(self):
+        """README's config table names exactly the ExperimentConfig fields, and
+        each backticked default reads (as JSON) as the field's default."""
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        table = text.split("### Config schema", 1)[1].split("| key | default | meaning |\n", 1)[1]
+        rows = [line.split(" | ") for line in
+                itertools.takewhile(lambda line: line.startswith("| "), table.splitlines()[1:])]
+        defaults = {row[0].strip("| `"): row[1] for row in rows}
+        config_fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+        assert list(defaults) == list(config_fields)
+        for name, cell in defaults.items():
+            f = config_fields[name]
+            if cell == "(required)":
+                assert f.default is f.default_factory is dataclasses.MISSING, name
+                continue
+            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+            assert cell.startswith("`") and cell.endswith("`"), name
+            assert (json.dumps(json.loads(cell[1:-1]), sort_keys=True)
+                    == json.dumps(default, sort_keys=True)), name
+
     def test_hash_ignores_out_and_threads(self, tmp_path):
         a = load_config(write_config(tmp_path, threads=1), out="x")
         b = load_config(write_config(tmp_path, threads=8), out="y")
@@ -326,6 +347,15 @@ class TestExitCodes:
 
     def test_missing_config_flag(self):
         assert main(["simulate"]) == 2
+
+    def test_interrupt_maps_to_3(self, tmp_path, monkeypatch, capsys):
+        """click turns a KeyboardInterrupt inside a command into click.Abort,
+        which main maps to 3 without an error line."""
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("wavedens.cli.load_config", interrupted)
+        assert main(["--config", write_config(tmp_path), "simulate"]) == 3
+        assert "error:" not in capsys.readouterr().err
 
     def test_config_error_maps_to_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -678,6 +708,39 @@ class TestDiagnoseDecay:
             assert [float(r[2]) for r in rows] == prof.floor.tolist()
         outputs = json.loads((out / "manifest.json").read_text())["outputs"]
         assert len(outputs) == len(set(outputs)) == 4
+
+    @pytest.mark.parametrize("k", [16, 15, -8])
+    def test_probe_off_the_support_exits_2(self, tmp_path, capsys, k):
+        """phi_{3,k} with N = 8 lives on [(k - 7)/8, (k + 8)/8]: k = 15 and
+        k = -8 touch [0, 1] only at an endpoint and k = 16 misses it, so the
+        profile would read 0."""
+        out = tmp_path / "runs"
+        path = tiny_config(tmp_path, cases=[{"case": "iid"}, {"case": "lsv", "lsv_alpha": 0.3}],
+                           wavelet={"family": "symmlet", "N": 8, "depth": 8},
+                           decay={"j": 3, "k": k, "n": 256})
+        assert main(["--config", path, "diagnose-decay"]) == 2
+        err = capsys.readouterr().err
+        assert f"decay.k = {k}" in err and "'iid'" in err
+        assert "[0.0, 1.0]" in err and "-7 .. 14" in err
+        assert not out.exists()
+
+    def test_probe_at_the_support_edge_runs(self, tmp_path):
+        path = tiny_config(tmp_path, cases=[{"case": "iid"}, {"case": "lsv", "lsv_alpha": 0.3}],
+                           wavelet={"family": "symmlet", "N": 8, "depth": 8},
+                           decay={"j": 3, "k": 14, "n": 256})
+        assert main(["--config", path, "diagnose-decay"]) == 0
+        summary = json.loads((tmp_path / "runs" / "decay_summary.json").read_text())
+        assert summary["probe"] == {"kind": "phi", "j": 3, "k": 14}
+
+    def test_off_support_default_probe_still_loads(self, tmp_path):
+        """The probe check is the command's: a custom support that the
+        default probe misses loads for benchmark."""
+        block = {"case": "iid", "target": "gaussian_mixture",
+                 "target_params": {"means": [12.0], "sds": [1.0], "weights": [1.0],
+                                   "support": [10.0, 14.0]}}
+        path = tiny_config(tmp_path, cases=[block])
+        assert load_config(path).process_spec(block, 64).support == (10.0, 14.0)
+        assert main(["--config", path, "diagnose-decay"]) == 2
 
 
 class TestTablesCommand:

@@ -249,6 +249,18 @@ class TestSelectJ1:
         with pytest.raises(ValueError, match="below"):
             select_j1({}, 3, 2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(j0=st.integers(0, 3),
+           levels=st.lists(st.sampled_from([0.0, 1e-13, -1e-13, 2e-12, -2e-12, 0.5, -0.5]),
+                           min_size=1, max_size=8))
+    def test_matches_definition(self, j0, levels):
+        """The smallest j in j0..j_star with every level j..j_star within 1e-12
+        of 0, or j_star when there is none."""
+        values = dict(enumerate(levels, start=j0))
+        j_star = j0 + len(levels) - 1
+        tails = [j for j in values if all(abs(values[i]) <= 1e-12 for i in range(j, j_star + 1))]
+        assert select_j1(values, j0, j_star) == (min(tails) if tails else j_star)
+
 
 class TestFitCv:
     def test_selection_structure(self, sym8_tables, rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavedens.cli import ConfigError, make_fit
-from wavedens.cross_validation import CvSelection, select_lambda
+from wavedens.cross_validation import CvSelection, cv_criterion, fit_cv, select_lambda
 from wavedens.estimator import DensityEstimate, Sample, ThresholdPlan, empirical_coefficients
 from wavedens.processes import build_target
 from wavedens.wavelet_basis import REC_LO, build_filter
@@ -33,6 +33,10 @@ CASES = {
                        ValueError, "mode must be one of"),
     "select_lambda mode": (lambda mp, t: select_lambda(SAMPLE, t, 2, mode="XTCV"),
                            ValueError, "mode must be one of"),
+    "cv_criterion mode": (lambda mp, t: cv_criterion(SAMPLE, t, 2, 0.1, mode="XTCV"),
+                          ValueError, "mode must be one of"),
+    "fit_cv mode": (lambda mp, t: fit_cv(SAMPLE, t, mode="XTCV"),
+                    ValueError, "mode must be one of"),
     "target without mass": (
         lambda mp, t: build_target("custom", {"density": np.zeros_like, "support": (0.0, 1.0)}),
         ValueError, "no mass"),
