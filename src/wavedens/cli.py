@@ -75,6 +75,9 @@ class ExperimentConfig:
         for name in ("methods", "n", "p", "moments"):  # each value keys its own outputs
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ConfigError(f"{name} must not repeat, got {list(getattr(self, name))}")
+        if len({f"{p:g}" for p in self.p}) < len(self.p):  # each names an lp_<p> column
+            raise ConfigError(f"p values must differ in their first 6 significant digits, "
+                              f"got {list(self.p)}")
         if not self.n or any(v < 8 for v in self.n):
             raise ConfigError(f"n values must be >= 8, got {self.n}")
         for block in self.cases:
@@ -278,15 +281,16 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, command: str,
     _write(out_dir / "manifest.json", _dumps(manifest), [])
 
 
-def _csv(rows: list[dict], columns: list[str]) -> str:
+def _csv(rows: list[dict]) -> str:
+    """The rows as CSV under the first row's keys; every row has the same keys, in order."""
     def cell(v):
         if v is None:
             return ""
         if isinstance(v, float):
             return _FLOAT_FMT % v
         return str(v)
-    lines = [",".join(columns)]
-    lines += [",".join(cell(row.get(c)) for c in columns) for row in rows]
+    lines = [",".join(rows[0])]
+    lines += [",".join(cell(v) for v in row.values()) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -388,14 +392,12 @@ def fit_cmd(ctx, sample_path, method, K, b, support, family, N, depth, grid_poin
     out_dir = Path(ctx.obj["out"] or ".")
     sample = _read_sample_csv(sample_path, (lo, hi))
     tables = cascade_tables(build_filter(family, N), depth=depth)
-    K = ExperimentConfig.K if K is None else K  # only theoretical-* methods read K
     result = make_fit(method, tables, grid_points, K=K, b=b)(sample)
     stem = Path(sample_path).stem
     outputs: list = []
     rows = [{"x": float(x), "density": float(v)}
             for x, v in zip(result.estimate.grid, result.estimate.values)]
-    _write(out_dir / f"{stem}_{method}_estimate.csv", _csv(rows, ["x", "density"]),
-           outputs)
+    _write(out_dir / f"{stem}_{method}_estimate.csv", _csv(rows), outputs)
     if result.diagnostics is not None:
         _write(out_dir / f"{stem}_{method}_selection.json",
                _dumps(result.diagnostics.to_dict()), outputs)
@@ -425,15 +427,10 @@ def benchmark(ctx):
                "reports": [r.to_dict() for r in reports]}
     _write(out_dir / "reports.json", _dumps(payload), outputs)
 
-    p_cols = [f"lp_{p:g}" for p in cfg.p]
-    rows = []
-    for r in reports:
-        row = {"case": r.case, "n": r.n, "method": r.method, "mise": r.mise,
-               "mean_j1": r.mean_j1}
-        row.update({f"lp_{p:g}": r.lp_risks.get(p) for p in cfg.p})
-        rows.append(row)
-    _write(out_dir / "risk_summary.csv",
-           _csv(rows, ["case", "n", "method", "mise", *p_cols, "mean_j1"]), outputs)
+    rows = [{"case": r.case, "n": r.n, "method": r.method, "mise": r.mise,
+             **{f"lp_{p:g}": r.lp_risks.get(p) for p in cfg.p}, "mean_j1": r.mean_j1}
+            for r in reports]
+    _write(out_dir / "risk_summary.csv", _csv(rows), outputs)
 
     profile_rows = [
         {"case": r.case, "n": r.n, "method": r.method, "level": j,
@@ -443,9 +440,7 @@ def benchmark(ctx):
         for j in sorted(r.threshold_profile)
     ]
     if profile_rows:
-        _write(out_dir / "threshold_profile.csv",
-               _csv(profile_rows, ["case", "n", "method", "level", "mean_lambda",
-                                   "killed_fraction"]), outputs)
+        _write(out_dir / "threshold_profile.csv", _csv(profile_rows), outputs)
 
     moment_rows = [
         {"case": r.case, "n": r.n, "method": r.method, "order": k,
@@ -454,8 +449,7 @@ def benchmark(ctx):
         for k in sorted(r.integrated_moments)
     ]
     if moment_rows:
-        _write(out_dir / "integrated_moments.csv",
-               _csv(moment_rows, ["case", "n", "method", "order", "value"]), outputs)
+        _write(out_dir / "integrated_moments.csv", _csv(moment_rows), outputs)
 
     _write_manifest(out_dir, cfg, "benchmark", outputs)
     click.echo(f"wrote {len(outputs)} files to {out_dir}")
@@ -484,8 +478,7 @@ def diagnose_decay(ctx):
         prof = covariance_decay(simulate(spec), tables, j=j, k=k, max_lag=max_lag)
         rows = [{"lag": int(r), "covariance": float(c), "floor": float(f)}
                 for r, c, f in zip(prof.lags, prof.covariances, prof.floor)]
-        _write(out_dir / f"decay_{label}.csv",
-               _csv(rows, ["lag", "covariance", "floor"]), outputs)
+        _write(out_dir / f"decay_{label}.csv", _csv(rows), outputs)
         if prof.sub_noise:
             flag = "exponential-or-faster"
         elif prof.slope is not None:
@@ -518,7 +511,7 @@ def tables_cmd(ctx, family, N, depth):
         rows += [{"kind": kind, "t": float(t), "value": float(v)}
                  for t, v in zip(grid, values)]
     name = f"{family}{N}_depth{depth}.csv"
-    _write(out_dir / name, _csv(rows, ["kind", "t", "value"]), [])
+    _write(out_dir / name, _csv(rows), [])
     click.echo(f"wrote {name} to {out_dir}")
 
 

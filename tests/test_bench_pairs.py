@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: the sign test it reports for each metric and its closing summary."""
+"""tools/bench_pairs.py: the sign test it reports for each metric, its closing
+summary and its closing line count."""
 
 import importlib
 from pathlib import Path
@@ -73,3 +74,11 @@ def test_closing_summary_names_the_differing_digests(bench_pairs):
     one = {"base": {"ref": "a", "seeded": "b"}, "head": {"ref": "x", "seeded": "b"}}
     pairs = _pairs([10.0] * 3, [11.0] * 3, {1: differ, 2: one})
     assert _closing(bench_pairs, pairs)[-1] == "mc-baselines digests: differ in ref, seeded"
+
+
+def test_lines_line_gives_both_counts(bench_pairs):
+    """Both sides' totals as `wc -l` reads them, and the head's generated lines."""
+    report = {"base": {"src_lines": {"total": 2447, "taps": 265}},
+              "head": {"src_lines": {"total": 2399, "taps": 265}}}
+    assert (bench_pairs._lines_line(report)
+            == "src/wavedens/*.py: 2447 -> 2399 lines (265 generated)")

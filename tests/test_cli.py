@@ -170,6 +170,9 @@ class TestLoadConfig:
         # each n, p and moment order names its own files, columns or counts
         pytest.param("n", [64, 64], "n must not repeat", id="n-value42-n must not repeat"),
         pytest.param("p", [2, 2.0], "p must not repeat", id="p-value43-p must not repeat"),
+        # lp_{p:g} keeps 6 significant digits, so these would name one column twice
+        pytest.param("p", [1.0000001, 1.0000002], "p values must differ",
+                     id="p-labels-p values must differ"),
         pytest.param("moments", [3, 3], "moments must not repeat",
                      id="moments-value44-moments must not repeat"),
         # the probe translate is an integer and the decay sample needs n >= 8
@@ -468,6 +471,16 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["wavelet_basis", "estimator", "cross_validation",
+                                    "processes", "baseline_kernel", "risk_metrics"])
+def test_package_exports_each_module_all(module):
+    """The package re-exports every name its modules declare public, as the
+    same objects, so each module's __all__ is the one list of its names."""
+    mod = importlib.import_module(f"wavedens.{module}")
+    for name in mod.__all__:
+        assert getattr(wavedens, name, None) is getattr(mod, name), name
+
+
 def test_module_entry_point_runs_without_warnings():
     """python -m wavedens.cli: the package root does not import cli, so runpy
     executes the module once and has nothing to warn about."""
@@ -584,6 +597,21 @@ class TestBenchmarkCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_sha256"] == payload["config_sha256"]
         assert manifest["outputs"] == sorted(manifest["outputs"])
+
+    def test_risk_summary_columns_per_p(self, tmp_path):
+        """One lp column per p, between mise and mean_j1; the lsv map has no
+        known density, so its risk cells are empty."""
+        out = tmp_path / "runs"
+        path = tiny_config(tmp_path, p=[1, 2],
+                           cases=[{"case": "iid"}, {"case": "lsv", "lsv_alpha": 0.3}])
+        assert main(["--config", path, "benchmark"]) == 0
+        summary = [line.split(",") for line in
+                   (out / "risk_summary.csv").read_text().splitlines()]
+        assert summary[0] == ["case", "n", "method", "mise", "lp_1", "lp_2", "mean_j1"]
+        by_case = {row[0]: row for row in summary[1:]}
+        assert by_case.keys() == {"iid", "lsv"}
+        assert by_case["lsv"][3:6] == ["", "", ""]
+        assert all(cell for cell in by_case["iid"])
 
     @pytest.mark.parametrize("support,means", [((2.0, 3.0), (2.35, 2.65)),
                                                ((-1.0, 3.0), (0.5, 1.5))])

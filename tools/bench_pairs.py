@@ -29,7 +29,8 @@ It ends by printing, for each workload, one line per end-to-end metric (the
 median head/base ratio, the range of the pair ratios, the count of pairs in
 which the head side is better, and the base runs' interquartile range as a
 share of their median) and one line naming the digest keys that differ
-between the sides, or "digests equal".
+between the sides, or "digests equal". Its last line gives both sides' line
+counts of src/wavedens/*.py and the head side's generated share.
 
 Standard library only; run from anywhere inside the repository.
 """
@@ -186,6 +187,13 @@ def _closing_lines(workload: str, entry: dict) -> list[str]:
     return lines
 
 
+def _lines_line(report: dict) -> str:
+    """The closing line count: base -> head, with the head's generated _taps.py lines."""
+    base, head = report["base"]["src_lines"], report["head"]["src_lines"]
+    return (f"src/wavedens/*.py: {base['total']} -> {head['total']} lines "
+            f"({head['taps']} generated)")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -240,6 +248,7 @@ def main() -> int:
     print(f"wrote {args.out}")
     for workload, entry in report["workloads"].items():
         print("\n".join(_closing_lines(workload, entry)))
+    print(_lines_line(report))
     return 0
 
 
