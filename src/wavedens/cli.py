@@ -435,7 +435,7 @@ def benchmark(ctx):
     profile_rows = [
         {"case": r.case, "n": r.n, "method": r.method, "level": j,
          "mean_lambda": r.threshold_profile[j],
-         "killed_fraction": r.thresholded_fraction[j] if r.thresholded_fraction else None}
+         "killed_fraction": r.thresholded_fraction[j]}
         for r in reports if r.threshold_profile
         for j in sorted(r.threshold_profile)
     ]

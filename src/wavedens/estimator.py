@@ -88,8 +88,8 @@ class CoefficientSet:
     """Scaling coefficients at j0 = scaling.j plus detail levels j0..jmax.
 
     `details` is ordered by level; it may be empty for a pure scaling-level
-    projection. Only translates whose support meets the sample support are
-    stored.
+    projection. Each level stores every translate of tables.k_range(j,
+    *support), its first and last two included, which meet the support at most at an end.
     """
 
     scaling: CoefficientLevel
@@ -177,20 +177,18 @@ def _synthesize_level(tables: WaveletTables, kind: str, lev: CoefficientLevel,
     times the tap's weights, which grid_weights keeps per (kind, level, grid)
     on the tables object: 2N * points * 8 bytes, shared by every later fit.
 
-    A level that stores only a slice of its translates is padded with zero
-    coefficients to every translate a tap reaches. A zero coefficient or a
+    The level must hold every translate a tap reaches, as each level over the
+    grid's support does; any other level is refused. A zero coefficient or a
     tap off the table adds +-0.0, which leaves out as it is: out starts at
     +0.0, so it never holds -0.0.
     """
     k0, weights, counts = tables.grid_weights(kind, lev.j, *grid)
     first, m = k0 - lev.k_min, len(counts)
-    left = max(0, -first)
-    c = np.zeros(left + max(len(lev.values), first + m - 1 + len(weights)))
-    c[left:left + len(lev.values)] = lev.values
-    first += left
+    if first < 0 or len(lev.values) < first + m - 1 + len(weights):
+        raise ValueError(f"level j={lev.j} lacks translates in {k0}..{k0 + m - 2 + len(weights)}")
     out = np.zeros(weights.shape[1])
     for t, w in enumerate(weights):
-        tmp = c[first + t:first + t + m].repeat(counts)
+        tmp = lev.values[first + t:first + t + m].repeat(counts)
         tmp *= w
         out += tmp
     out *= 2.0 ** (lev.j / 2)

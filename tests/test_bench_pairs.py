@@ -82,3 +82,17 @@ def test_lines_line_gives_both_counts(bench_pairs):
               "head": {"src_lines": {"total": 2399, "taps": 265}}}
     assert (bench_pairs._lines_line(report)
             == "src/wavedens/*.py: 2447 -> 2399 lines (265 generated)")
+
+
+def test_output_digests_line_names_the_differing_outputs(bench_pairs):
+    """Equal when every output's digest agrees; otherwise each output that
+    differs or is on one side only, in sorted order."""
+    def report(base, head):
+        return {side: {"output_digests": {"outputs": outputs, "overall": "-"}}
+                for side, outputs in (("base", base), ("head", head))}
+
+    same = {"cmd/a.csv": "1", "lib/b": "2"}
+    assert bench_pairs._output_digests_line(report(same, dict(same))) == "output digests: equal"
+    head = {"cmd/a.csv": "1", "lib/b": "3", "lib/c": "4"}
+    assert (bench_pairs._output_digests_line(report(same, head))
+            == "output digests: differ in lib/b, lib/c")

@@ -1,7 +1,6 @@
 """Coefficients, thresholding rules, the theoretical schedule, reconstruction."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wavedens.cross_validation import fit_cv
 from wavedens.estimator import (DensityEstimate, Sample, ThresholdPlan, apply_plan,
                                 empirical_coefficients, hard_threshold,
                                 reconstruct, soft_threshold, theoretical_plan)
@@ -252,25 +252,23 @@ class TestReconstruct:
                 want += v * sym8_tables.eval("psi", lev.j, int(k), est.grid)
         assert_allclose(est.values, want, rtol=0, atol=1e-10)
 
-    def test_partial_levels_synthesize_only_their_translates(self, sym8_tables, rng):
-        """Levels that store a slice of their translates leave the others out."""
-        x = rng.random(50)
-        full = empirical_coefficients(Sample(values=x, support=(0.0, 1.0)),
-                                      sym8_tables, j0=1, jmax=2)
-
-        def middle(lev):
-            return replace(lev, k_min=lev.k_min + 3, values=lev.values[3:-4])
-
-        coeffs = replace(full, scaling=middle(full.scaling),
-                         details=tuple(middle(lev) for lev in full.details))
-        est = reconstruct(coeffs, sym8_tables, grid_points=100)
-        want = np.zeros(100)
-        for k, v in zip(coeffs.scaling.k_values(), coeffs.scaling.values):
-            want += v * sym8_tables.eval("phi", 1, int(k), est.grid)
-        for lev in coeffs.details:
-            for k, v in zip(lev.k_values(), lev.values):
-                want += v * sym8_tables.eval("psi", lev.j, int(k), est.grid)
-        assert_allclose(est.values, want, rtol=0, atol=1e-10)
+    @pytest.mark.parametrize("support", [(0.0, 1.0), (-0.5, 2.0), (0.0, 4.0)])
+    @pytest.mark.parametrize("name", ["haar_tables", "sym8_tables"])
+    def test_levels_span_their_k_range(self, request, name, support, rng):
+        """Every level the program builds, by empirical_coefficients or in
+        fit_cv's record, stores exactly k_range(j, *support): all the
+        translates a synthesis over that support reads."""
+        tables = request.getfixturevalue(name)
+        lo, hi = support
+        sample = Sample(values=lo + (hi - lo) * rng.random(256), support=support)
+        coeffs = empirical_coefficients(sample, tables, 1, 6)
+        fit_cv(sample, tables, grid_points=64)
+        record = sample._cv[tables]
+        cv_levels = [rec.coeffs for j, rec in record.items() if j != "phi"]
+        assert cv_levels
+        for lev in (coeffs.scaling, *coeffs.details, record["phi"], *cv_levels):
+            span = (lev.k_min, lev.k_min + len(lev.values) - 1)
+            assert span == tables.k_range(lev.j, *support), lev.j
 
     def test_grid_spans_support(self, sym8_tables):
         sample = Sample(values=np.array([0.3, 0.5]), support=(0.0, 1.0))

@@ -1,11 +1,14 @@
 """Input checks across the library: each bad value fails with its own message."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from wavedens.cli import ConfigError, make_fit
 from wavedens.cross_validation import CvSelection, cv_criterion, fit_cv, select_lambda
-from wavedens.estimator import DensityEstimate, Sample, ThresholdPlan, empirical_coefficients
+from wavedens.estimator import (DensityEstimate, Sample, ThresholdPlan,
+                               empirical_coefficients, reconstruct)
 from wavedens.processes import build_target
 from wavedens.wavelet_basis import REC_LO, build_filter
 
@@ -17,6 +20,14 @@ def _bad_taps(monkeypatch, taps):
     build_filter("daubechies", 1)
 
 
+def _partial_scaling(tables):
+    """Synthesis of a set whose scaling level lacks its first and last translates."""
+    full = empirical_coefficients(SAMPLE, tables, j0=2, jmax=1)
+    lev = full.scaling
+    middle = replace(lev, k_min=lev.k_min + 1, values=lev.values[1:-1])
+    return reconstruct(replace(full, scaling=middle), tables, grid_points=64)
+
+
 CASES = {
     "plan j1 below j0": (lambda mp, t: ThresholdPlan("hard", {}, j0=3, j1=2),
                          ValueError, "j1=2 < j0=3"),
@@ -26,6 +37,8 @@ CASES = {
     "estimate not finite": (
         lambda mp, t: DensityEstimate(np.linspace(0.0, 1.0, 4), np.array([0, np.inf, 0, 0])),
         ValueError, "non-finite"),
+    "synthesis of a partial level": (lambda mp, t: _partial_scaling(t),
+                                     ValueError, "level j=2 lacks translates"),
     "coefficients jmax below j0 - 1": (
         lambda mp, t: empirical_coefficients(SAMPLE, t, j0=3, jmax=1),
         ValueError, "jmax=1 below j0-1"),

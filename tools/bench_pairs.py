@@ -19,6 +19,8 @@ itself runs, as perfbench/stability.py defaults to. Writes one JSON file with:
   out), the chance of a split at least that lopsided on code that does
   not change the metric;
 - the digests of both sides and whether they agree;
+- each side's output digests: the head's tools/output_digests.py run on
+  that side's src/, per output and overall;
 - each side's Tier-1 run (`pytest -q --durations=10` with ./src on the
   path): its wall time, its result line and its ten slowest tests;
 - each side's line count of src/wavedens/*.py as `wc -l` reads it, and the
@@ -29,8 +31,10 @@ It ends by printing, for each workload, one line per end-to-end metric (the
 median head/base ratio, the range of the pair ratios, the count of pairs in
 which the head side is better, and the base runs' interquartile range as a
 share of their median) and one line naming the digest keys that differ
-between the sides, or "digests equal". Its last line gives both sides' line
-counts of src/wavedens/*.py and the head side's generated share.
+between the sides, or "digests equal". Then one line says whether the two
+sides' output digests are equal or names the outputs that differ. Its last
+line gives both sides' line counts of src/wavedens/*.py and the head side's
+generated share.
 
 Standard library only; run from anywhere inside the repository.
 """
@@ -125,6 +129,17 @@ def _tier1(checkout: Path) -> dict:
             "slowest": slowest}
 
 
+def _output_digests(tool: Path, checkout: Path) -> dict:
+    """`tool` (an output_digests.py) run on checkout/src: the per-output and overall digests."""
+    cmd = [sys.executable, str(tool), "--src", str(checkout / "src")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        sys.exit(f"bench_pairs: {' '.join(cmd)} failed:\n{proc.stderr}")
+    *lines, overall = proc.stdout.splitlines()
+    return {"outputs": dict(line.split("  ", 1)[::-1] for line in lines),
+            "overall": overall.removeprefix("overall ")}
+
+
 def _src_lines(checkout: Path) -> dict:
     """Newlines in src/wavedens/*.py, as `wc -l` counts them: total and _taps.py."""
     counts = {path.name: path.read_bytes().count(b"\n")
@@ -187,6 +202,13 @@ def _closing_lines(workload: str, entry: dict) -> list[str]:
     return lines
 
 
+def _output_digests_line(report: dict) -> str:
+    """The closing output-digest line: equal, or the outputs whose digests differ."""
+    base, head = (report[side]["output_digests"]["outputs"] for side in ("base", "head"))
+    names = sorted(name for name in base.keys() | head.keys() if base.get(name) != head.get(name))
+    return "output digests: " + (f"differ in {', '.join(names)}" if names else "equal")
+
+
 def _lines_line(report: dict) -> str:
     """The closing line count: base -> head, with the head's generated _taps.py lines."""
     base, head = report["base"]["src_lines"], report["head"]["src_lines"]
@@ -215,8 +237,10 @@ def main() -> int:
         report["base"] = {"rev": args.base, "commit": _export(args.base, dirs["base"])}
         report["head"] = {"rev": "working tree"}
         _copy_worktree(dirs["head"])
+        tool = dirs["head"] / "tools" / "output_digests.py"
         for side, checkout in dirs.items():
             report[side]["src_lines"] = _src_lines(checkout)
+            report[side]["output_digests"] = _output_digests(tool, checkout)
             report[side]["tier1"] = _tier1(checkout)
             print(f"tier-1 {side}: {report[side]['tier1']['result']}, "
                   f"{report[side]['tier1']['wall_s']:.1f} s wall", flush=True)
@@ -248,6 +272,7 @@ def main() -> int:
     print(f"wrote {args.out}")
     for workload, entry in report["workloads"].items():
         print("\n".join(_closing_lines(workload, entry)))
+    print(_output_digests_line(report))
     print(_lines_line(report))
     return 0
 
