@@ -79,13 +79,16 @@ class CoefficientLevel:
     k_min: int
     values: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+
     def k_values(self) -> np.ndarray:
         return self.k_min + np.arange(len(self.values))
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Scaling coefficients at j0 = scaling.j plus detail levels j0..jmax.
+    """Scaling coefficients at j0 = scaling.j plus detail levels from j0 up.
 
     `details` is ordered by level; it may be empty for a pure scaling-level
     projection. Each level stores every translate of tables.k_range(j,
@@ -95,10 +98,6 @@ class CoefficientSet:
     scaling: CoefficientLevel
     details: tuple[CoefficientLevel, ...]
     support: tuple[float, float]
-
-    @property
-    def jmax(self) -> int:
-        return self.details[-1].j if self.details else self.scaling.j - 1
 
     def detail(self, j: int) -> CoefficientLevel:
         for lev in self.details:
@@ -226,16 +225,14 @@ def hard_threshold(beta, lam):
     """beta if |beta| > lam else 0 (strict inequality)."""
     _check_threshold(lam)
     b = np.asarray(beta, dtype=np.float64)
-    out = np.where(np.abs(b) > lam, b, 0.0)
-    return float(out) if b.ndim == 0 else out
+    return np.where(np.abs(b) > lam, b, 0.0)
 
 
 def soft_threshold(beta, lam):
     """sign(beta) * max(|beta| - lam, 0)."""
     _check_threshold(lam)
     b = np.asarray(beta, dtype=np.float64)
-    out = np.sign(b) * np.maximum(np.abs(b) - lam, 0.0)
-    return float(out) if b.ndim == 0 else out
+    return np.sign(b) * np.maximum(np.abs(b) - lam, 0.0)
 
 
 def _coarse_level(n: int, N: int) -> int:

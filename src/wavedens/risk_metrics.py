@@ -125,15 +125,13 @@ def integrated_moments(estimates: Sequence[DensityEstimate], k: int) -> tuple[fl
     for est in estimates[1:]:
         if not np.array_equal(est.grid, grid):
             raise ValueError("estimates must share a common grid")
-    a, b = grid[0] + 0.01 * (grid[-1] - grid[0]), grid[-1]
+    a = grid[0] + 0.01 * (grid[-1] - grid[0])
     stack = np.stack([est.values for est in estimates])
     moment = (stack**k).mean(axis=0)
 
-    inside = (grid > a) & (grid < b)
-    xs = np.concatenate([[a], grid[inside], [b]])
-    ys = np.concatenate([
-        [np.interp(a, grid, moment)], moment[inside], [np.interp(b, grid, moment)]
-    ])
+    inside = grid > a
+    xs = np.concatenate([[a], grid[inside]])
+    ys = np.concatenate([[np.interp(a, grid, moment)], moment[inside]])
     clamps = 0
     if k == 1:
         integrand = ys

@@ -1,5 +1,5 @@
 """tools/bench_pairs.py: the sign test it reports for each metric, its closing
-summary and its closing line count."""
+summary, its Tier-1 failures and its closing line count."""
 
 import importlib
 from pathlib import Path
@@ -96,3 +96,25 @@ def test_output_digests_line_names_the_differing_outputs(bench_pairs):
     head = {"cmd/a.csv": "1", "lib/b": "3", "lib/c": "4"}
     assert (bench_pairs._output_digests_line(report(same, head))
             == "output digests: differ in lib/b, lib/c")
+
+
+def test_failed_tests_reads_the_short_summary(bench_pairs):
+    """The ids of pytest's FAILED and ERROR lines, sorted; other lines are skipped."""
+    lines = ["tests/test_a.py ..F", "FAILED tests/test_a.py::test_x - AssertionError: 1 != 2",
+             "ERROR tests/test_b.py::test_y[a-b] - RuntimeError: boom",
+             "FAILED tests/test_a.py::test_w", "1 failed, 9 passed in 1.00s"]
+    assert bench_pairs._failed_tests(lines) == [
+        "tests/test_a.py::test_w", "tests/test_a.py::test_x", "tests/test_b.py::test_y[a-b]"]
+
+
+def test_failures_line_names_the_failures(bench_pairs):
+    """Equal sides name their shared failures, or none; otherwise each side's own."""
+    def report(base, head):
+        return {"base": {"tier1": {"failed": base}}, "head": {"tier1": {"failed": head}}}
+
+    assert bench_pairs._failures_line(report(["t::a"], ["t::a"])) == "tier-1 failures: equal (t::a)"
+    assert bench_pairs._failures_line(report([], [])) == "tier-1 failures: equal (none)"
+    assert (bench_pairs._failures_line(report(["t::a", "t::b"], ["t::a", "t::c", "t::d"]))
+            == "tier-1 failures: base only t::b; head only t::c, t::d")
+    assert (bench_pairs._failures_line(report(["t::a"], []))
+            == "tier-1 failures: base only t::a; head only none")

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wavedens.cross_validation import fit_cv
-from wavedens.estimator import (DensityEstimate, Sample, ThresholdPlan, apply_plan,
-                                empirical_coefficients, hard_threshold,
-                                reconstruct, soft_threshold, theoretical_plan)
+from wavedens.estimator import (CoefficientLevel, CoefficientSet, DensityEstimate,
+                                Sample, ThresholdPlan, apply_plan, empirical_coefficients,
+                                hard_threshold, reconstruct, soft_threshold,
+                                theoretical_plan)
 
 
 def _naive_coefficient(tables, kind, j, k, x):
@@ -95,7 +96,6 @@ class TestEmpiricalCoefficients:
         sample = Sample(values=np.array([0.3, 0.6]), support=(0.0, 1.0))
         coeffs = empirical_coefficients(sample, sym8_tables, j0=2, jmax=1)
         assert coeffs.details == ()
-        assert coeffs.jmax == 1
 
     def test_detail_lookup_error(self, sym8_tables):
         sample = Sample(values=np.array([0.3, 0.6]), support=(0.0, 1.0))
@@ -269,6 +269,21 @@ class TestReconstruct:
         for lev in (coeffs.scaling, *coeffs.details, record["phi"], *cv_levels):
             span = (lev.k_min, lev.k_min + len(lev.values) - 1)
             assert span == tables.k_range(lev.j, *support), lev.j
+
+    def test_levels_store_float64(self, sym8_tables):
+        """A hand-built level holds float64 whatever it was given: integer
+        values reconstruct to the bytes of their float64 copy, and float32
+        values are stored as float64."""
+        k_min, k_max = sym8_tables.k_range(1, 0.0, 1.0)
+        ints = np.arange(k_max - k_min + 1) - 4
+        est = {}
+        for name, values in (("int", ints), ("float", ints.astype(np.float64))):
+            coeffs = CoefficientSet(scaling=CoefficientLevel(1, k_min, values),
+                                    details=(), support=(0.0, 1.0))
+            est[name] = reconstruct(coeffs, sym8_tables, grid_points=64).values
+        assert est["int"].tobytes() == est["float"].tobytes()
+        level = CoefficientLevel(1, k_min, np.ones(3, dtype=np.float32))
+        assert level.values.dtype == np.float64
 
     def test_grid_spans_support(self, sym8_tables):
         sample = Sample(values=np.array([0.3, 0.5]), support=(0.0, 1.0))

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wavedens.baseline_kernel import KernelConfig, kernel_estimate
@@ -107,6 +109,36 @@ class TestIntegratedMoments:
         value, clamps = integrated_moments([_flat(-1.0)], k=3)
         assert value == 0.0
         assert clamps > 0
+
+    @given(data=st.data(), lo=st.floats(-10, 10), width=st.floats(1e-3, 20),
+           points=st.integers(2, 200), replicates=st.integers(1, 3), k=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_interpolation_at_both_ends(self, data, lo, width, points, replicates,
+                                                k):
+        """The same bits as a reference that also interpolates at the grid's
+        last point b and drops b from the interior: np.interp at b returns
+        the moment's last value, so both integrate the same points."""
+        grid = np.linspace(lo, lo + width, points)
+        values = st.lists(st.floats(-5, 5), min_size=points, max_size=points)
+        estimates = [DensityEstimate(grid=grid, values=np.array(data.draw(values)))
+                     for _ in range(replicates)]
+        a, b = grid[0] + 0.01 * (grid[-1] - grid[0]), grid[-1]
+        moment = (np.stack([est.values for est in estimates]) ** k).mean(axis=0)
+        inside = (grid > a) & (grid < b)
+        xs = np.concatenate([[a], grid[inside], [b]])
+        ys = np.concatenate([
+            [np.interp(a, grid, moment)], moment[inside], [np.interp(b, grid, moment)]
+        ])
+        clamps = 0
+        if k == 1:
+            integrand = ys
+        elif k % 2 == 1:
+            clamps = int((ys < 0).sum())
+            integrand = np.maximum(ys, 0.0) ** (1.0 / k)
+        else:
+            integrand = np.abs(ys) ** (1.0 / k)
+        want = (float(np.trapezoid(integrand, xs)), clamps)
+        assert integrated_moments(estimates, k) == want
 
     def test_interpolated_endpoints(self):
         """A coarse grid still integrates a linear moment exactly because the

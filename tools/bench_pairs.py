@@ -22,7 +22,8 @@ itself runs, as perfbench/stability.py defaults to. Writes one JSON file with:
 - each side's output digests: the head's tools/output_digests.py run on
   that side's src/, per output and overall;
 - each side's Tier-1 run (`pytest -q --durations=10` with ./src on the
-  path): its wall time, its result line and its ten slowest tests;
+  path): its wall time, its result line, the sorted ids of its failing and
+  erroring tests and its ten slowest tests;
 - each side's line count of src/wavedens/*.py as `wc -l` reads it, and the
   share of it in the generated _taps.py;
 - the core count, the CPU, and the Python and numpy versions.
@@ -32,9 +33,10 @@ median head/base ratio, the range of the pair ratios, the count of pairs in
 which the head side is better, and the base runs' interquartile range as a
 share of their median) and one line naming the digest keys that differ
 between the sides, or "digests equal". Then one line says whether the two
-sides' output digests are equal or names the outputs that differ. Its last
-line gives both sides' line counts of src/wavedens/*.py and the head side's
-generated share.
+sides fail the same Tier-1 tests, naming them, or names the failures on one
+side only, and one line says whether the two sides' output digests are
+equal or names the outputs that differ. Its last line gives both sides'
+line counts of src/wavedens/*.py and the head side's generated share.
 
 Standard library only; run from anywhere inside the repository.
 """
@@ -126,7 +128,13 @@ def _tier1(checkout: Path) -> dict:
     if result is None:
         sys.exit(f"bench_pairs: no pytest result line in {checkout}:\n{proc.stdout}{proc.stderr}")
     return {"wall_s": wall, "exit_code": proc.returncode, "result": result,
-            "slowest": slowest}
+            "failed": _failed_tests(lines), "slowest": slowest}
+
+
+def _failed_tests(lines: list[str]) -> list[str]:
+    """The sorted ids on pytest's `FAILED <id> - ...` and `ERROR <id> - ...` lines."""
+    return sorted(line.split(" - ", 1)[0].split(" ", 1)[1] for line in lines
+                  if line.startswith(("FAILED ", "ERROR ")))
 
 
 def _output_digests(tool: Path, checkout: Path) -> dict:
@@ -209,6 +217,18 @@ def _output_digests_line(report: dict) -> str:
     return "output digests: " + (f"differ in {', '.join(names)}" if names else "equal")
 
 
+def _failures_line(report: dict) -> str:
+    """The closing Tier-1 line: the same failures on both sides, or each side's own."""
+    base, head = (set(report[side]["tier1"]["failed"]) for side in ("base", "head"))
+
+    def ids(names):
+        return ", ".join(sorted(names)) or "none"
+
+    if base == head:
+        return f"tier-1 failures: equal ({ids(base)})"
+    return f"tier-1 failures: base only {ids(base - head)}; head only {ids(head - base)}"
+
+
 def _lines_line(report: dict) -> str:
     """The closing line count: base -> head, with the head's generated _taps.py lines."""
     base, head = report["base"]["src_lines"], report["head"]["src_lines"]
@@ -272,6 +292,7 @@ def main() -> int:
     print(f"wrote {args.out}")
     for workload, entry in report["workloads"].items():
         print("\n".join(_closing_lines(workload, entry)))
+    print(_failures_line(report))
     print(_output_digests_line(report))
     print(_lines_line(report))
     return 0
