@@ -167,6 +167,7 @@ class ExperimentConfig:
 
 _WAVELET_DEFAULTS = {"family": "symmlet", "N": 8, "depth": 10}
 _DECAY_KEYS = {"j", "k", "n", "max_lag"}
+_PROBE_ENERGY_FLOOR = 0.01  # least share of ||phi_{j,k}||^2 = 1 on a block's support
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
@@ -466,12 +467,22 @@ def diagnose_decay(ctx):
     labels = _case_labels(cfg.cases)
     specs = [replace(cfg.process_spec(block, n), seed=derived_seed(cfg.seed, i))
              for i, block in enumerate(cfg.cases)]
+    t = tables.sample_grid("phi") - (tables.vanishing_moments - 1)  # centered phi's abscissae
     for spec, label in zip(specs, labels):  # a probe off the support reads 0 everywhere
-        k_min, k_max = tables.k_range(j, *spec.support)
+        lo, hi = spec.support
+        k_min, k_max = tables.k_range(j, lo, hi)
         if not k_min < k < k_max - 1:
             raise ConfigError(f"decay.k = {k} puts the probe phi_{{{j},{k}}} off the support "
                               f"{list(spec.support)} of case block {label!r}; at j = {j} "
                               f"only k in {k_min + 1} .. {k_max - 2} meets it")
+        # phi_{j,k}(x) = 2^(j/2) phi(2^j x - k): its energy on [lo, hi] is phi's on t in
+        # [2^j lo - k, 2^j hi - k], and a probe with next to none of it profiles rounding noise
+        inside = (t >= 2**j * lo - k) & (t <= 2**j * hi - k)
+        share = float(np.trapezoid(tables.phi_values[inside] ** 2, t[inside]))
+        if share < _PROBE_ENERGY_FLOOR:
+            raise ConfigError(f"decay.k = {k} leaves the probe phi_{{{j},{k}}} a share of "
+                              f"{share:.2g} of its energy on the support {list(spec.support)} "
+                              f"of case block {label!r}, below the floor {_PROBE_ENERGY_FLOOR}")
     outputs: list = []
     summary = []
     for spec, label in zip(specs, labels):

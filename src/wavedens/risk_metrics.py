@@ -125,10 +125,13 @@ def integrated_moments(estimates: Sequence[DensityEstimate], k: int) -> tuple[fl
     for est in estimates[1:]:
         if not np.array_equal(est.grid, grid):
             raise ValueError("estimates must share a common grid")
-    a = grid[0] + 0.01 * (grid[-1] - grid[0])
     stack = np.stack([est.values for est in estimates])
-    moment = (stack**k).mean(axis=0)
+    return _moment_integral(grid, (stack**k).mean(axis=0), k)
 
+
+def _moment_integral(grid: np.ndarray, moment: np.ndarray, k: int) -> tuple[float, int]:
+    """integrated_moments' (value, clamp_count) of the pointwise mean `moment` of g^k."""
+    a = grid[0] + 0.01 * (grid[-1] - grid[0])
     inside = grid > a
     xs = np.concatenate([[a], grid[inside]])
     ys = np.concatenate([[np.interp(a, grid, moment)], moment[inside]])
@@ -152,14 +155,19 @@ def monte_carlo_risks(spec: ProcessSpec, fits: dict[str, FitFunction], M: int,
     in replicate order. Each replicate's sample is simulated once and fitted
     by every method in dict order, and the reports come back in that order.
     Risks are measured against spec.target; a spec without one (lsv) gets
-    only selection statistics and moments.
+    only selection statistics and moments. No estimate outlives its replicate:
+    a method keeps its selections, Lp distances and one sum of g^k per order k.
     """
     if M < 2:
         raise ValueError(f"need M >= 2 replicates, got M={M}")
+    if any(k < 1 for k in moment_orders):
+        raise ValueError(f"moment order must be >= 1, got {min(moment_orders)}")
     truth = spec.target
     norms = sorted(set(p_list) | {2.0}) if truth is not None else []
 
-    done = {method: ([], []) for method in fits}  # each method's Fits and Lp distances
+    # per method: each replicate's (j1, lambdas, killed_fraction) and Lp distances
+    done = {method: ([], [], {}) for method in fits}  # and {k: running sum of g^k}
+    grids = {}  # per method: its first estimate's grid
     for r in range(M):
         seed = derived_seed(spec.seed, r)
         method = "simulate"
@@ -167,19 +175,29 @@ def monte_carlo_risks(spec: ProcessSpec, fits: dict[str, FitFunction], M: int,
             sample = simulate(replace(spec, seed=seed))
             for method, fit in fits.items():
                 result = fit(sample)
-                done[method][0].append(result)
-                done[method][1].append({p: lp_distance(result.estimate, truth, p) for p in norms})
+                est = result.estimate
+                picks, dists, sums = done[method]
+                picks.append((result.j1, result.lambdas, result.killed_fraction))
+                dists.append({p: lp_distance(est, truth, p) for p in norms})
+                grid = grids.setdefault(method, est.grid)
+                if moment_orders and not np.array_equal(est.grid, grid):
+                    raise ValueError("estimates must share a common grid")
+                for k, total in sums.items():
+                    total += est.values**k
+                if r == 0:  # replicate 0's terms start each sum, as in numpy's axis-0 mean
+                    sums.update({k: est.values**k for k in moment_orders})
         except Exception as exc:
             raise RuntimeError(
                 f"replicate {r} (seed {seed}) failed for {method}: {exc}") from exc
-    return [_report(spec, method, *done[method], p_list, moment_orders)
+    return [_report(spec, method, *done[method], grids[method], p_list, moment_orders)
             for method in fits]
 
 
-def _report(spec: ProcessSpec, method: str, fits: list[Fit], dists: list[dict],
+def _report(spec: ProcessSpec, method: str, picks: list[tuple], dists: list[dict],
+            sums: dict[int, np.ndarray], grid: np.ndarray,
             p_list: Sequence[float], moment_orders: Sequence[int]) -> RiskReport:
-    """One method's RiskReport from its replicate fits and their Lp distances."""
-    j1s = [f.j1 for f in fits]
+    """One method's RiskReport from its kept selections, Lp distances and sums of g^k."""
+    j1s, lambdas, killed = zip(*picks)
     mise = None
     lp_risks: dict[float, float] = {}
     if spec.target is not None:
@@ -192,26 +210,25 @@ def _report(spec: ProcessSpec, method: str, fits: list[Fit], dists: list[dict],
     if moment_orders:
         moments = {}
         for k in moment_orders:
-            value, c = integrated_moments([f.estimate for f in fits], k)
-            moments[k] = value
+            moments[k], c = _moment_integral(grid, sums[k] / len(picks), k)
             clamps += c
 
     return RiskReport(
         method=method,
         case=spec.case,
         n=spec.n,
-        replicates=len(fits),
+        replicates=len(picks),
         mise=mise,
         lp_risks=lp_risks,
         mean_j1=None if None in j1s else float(np.mean(j1s)),
-        threshold_profile=_level_means([f.lambdas for f in fits]),
-        thresholded_fraction=_level_means([f.killed_fraction for f in fits]),
+        threshold_profile=_level_means(lambdas),
+        thresholded_fraction=_level_means(killed),
         integrated_moments=moments,
         moment_clamps=clamps,
     )
 
 
-def _level_means(per_fit: list[dict | None]) -> dict[int, float] | None:
+def _level_means(per_fit: Sequence[dict | None]) -> dict[int, float] | None:
     """Replicate mean of a per-level dict, or None when any fit lacks it."""
     if any(d is None for d in per_fit):
         return None

@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py: the sign test it reports for each metric, its closing
-summary, its Tier-1 failures and its closing line count."""
+"""tools/bench_pairs.py: the sign test and the verdicts it reports for each
+metric, its closing summary, its Tier-1 failures and its closing line count."""
 
 import importlib
 from pathlib import Path
@@ -118,3 +118,46 @@ def test_failures_line_names_the_failures(bench_pairs):
             == "tier-1 failures: base only t::b; head only t::c, t::d")
     assert (bench_pairs._failures_line(report(["t::a"], []))
             == "tier-1 failures: base only t::a; head only none")
+
+
+BASE = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]  # IQR 0.2, 2% of 10
+
+
+@pytest.mark.parametrize("head, bound, want", [
+    # better in 10 of 10 and 1.0 below the base median, more than its IQR
+    ([x * 0.9 for x in BASE], 0.1, {"gain": "met", "regression": "none"}),
+    # better in 8 of 10 only: no gain, and no loss either
+    ([9.0] * 8 + [10.5, 10.5], 0.1, {"gain": "not met", "regression": "none"}),
+    # better in 10 of 10, but by 0.1, less than the base IQR
+    ([x - 0.1 for x in BASE], 0.1, {"gain": "not met", "regression": "none"}),
+    # 20% slower against a 10% bound
+    ([x * 1.2 for x in BASE], 0.1, {"gain": "not met", "regression": "over bound"}),
+    # 1% slower against a 0.5% bound
+    ([x * 1.01 for x in BASE], 0.005, {"gain": "not met", "regression": "over bound"}),
+])
+def test_verdicts(bench_pairs, head, bound, want):
+    """A metric that is better lower; the cases cover each verdict."""
+    assert bench_pairs._verdicts(BASE, head, "lower", bound) == want
+
+
+def test_verdict_unresolved_when_the_base_spreads_past_the_bound(bench_pairs):
+    """A base IQR of 40% of its median cannot show a 10% loss, unless every
+    head run beats every base run."""
+    base = [6.0, 8.0, 10.0, 12.0, 14.0] * 2
+    assert bench_pairs._verdicts(base, [10.0] * 10, "higher", 0.1) == {
+        "gain": "not met", "regression": "unresolved"}
+    assert bench_pairs._verdicts(base, [15.0] * 9 + [13.0], "higher", 0.1)["regression"] == (
+        "unresolved")
+    assert bench_pairs._verdicts(base, [15.0] * 10, "higher", 0.1)["regression"] == "none"
+
+
+def test_closing_summary_states_the_verdicts(bench_pairs):
+    """With the bounds, each metric line ends with its two verdicts."""
+    pairs = _pairs(BASE, [x * 1.2 for x in BASE])
+    entry = {"summary": bench_pairs._summary(pairs, {"items_per_s": "higher", "setup_s": "lower"},
+                                             {"items_per_s": 0.25, "setup_s": 0.1}),
+             "digests": bench_pairs._digests(pairs), "pairs": pairs}
+    first, second, _ = bench_pairs._closing_lines("mc-acceptance", entry)
+    assert first.endswith("of its median; gain met, regression none")
+    assert second.endswith("of its median; gain not met, regression over bound")
+    assert entry["summary"]["setup_s"]["regression"] == "over bound"

@@ -753,12 +753,26 @@ class TestDiagnoseDecay:
         assert not out.exists()
 
     def test_probe_at_the_support_edge_runs(self, tmp_path):
+        """phi_{3,9} keeps 3.4% of its energy on [0, 1], above the 1% floor."""
+        path = tiny_config(tmp_path, cases=[{"case": "iid"}, {"case": "lsv", "lsv_alpha": 0.3}],
+                           wavelet={"family": "symmlet", "N": 8, "depth": 8},
+                           decay={"j": 3, "k": 9, "n": 256})
+        assert main(["--config", path, "diagnose-decay"]) == 0
+        summary = json.loads((tmp_path / "runs" / "decay_summary.json").read_text())
+        assert summary["probe"] == {"kind": "phi", "j": 3, "k": 9}
+
+    def test_probe_without_energy_on_the_support_exits_2(self, tmp_path, capsys):
+        """phi_{3,14} meets [0, 1] but keeps only 5.6e-15 of its energy there,
+        so its profile would read rounding noise."""
+        out = tmp_path / "runs"
         path = tiny_config(tmp_path, cases=[{"case": "iid"}, {"case": "lsv", "lsv_alpha": 0.3}],
                            wavelet={"family": "symmlet", "N": 8, "depth": 8},
                            decay={"j": 3, "k": 14, "n": 256})
-        assert main(["--config", path, "diagnose-decay"]) == 0
-        summary = json.loads((tmp_path / "runs" / "decay_summary.json").read_text())
-        assert summary["probe"] == {"kind": "phi", "j": 3, "k": 14}
+        assert main(["--config", path, "diagnose-decay"]) == 2
+        err = capsys.readouterr().err
+        assert "decay.k = 14" in err and "'iid'" in err
+        assert "share of 5.6e-15" in err and "below the floor 0.01" in err
+        assert not out.exists()
 
     def test_off_support_default_probe_still_loads(self, tmp_path):
         """The probe check is the command's: a custom support that the

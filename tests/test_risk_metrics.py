@@ -1,6 +1,8 @@
 """Risk harness: norms, moment integrals, replication, decay profiles."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -274,6 +276,56 @@ class TestMonteCarloRisk:
         assert set(report.integrated_moments) == {1, 2}
         assert report.moment_clamps == 0  # kernel estimates are nonnegative
         assert report.integrated_moments[1] == pytest.approx(1.0, abs=0.1)
+
+    @pytest.mark.parametrize("M", [2, 9, 40])
+    def test_running_moments_match_the_stacked_mean(self, M, sym8_tables):
+        """The running sums of g^k give integrated_moments' bits on the same
+        estimates, clamps included: next to a narrow peak HTCV's estimates dip
+        below zero, so the third moment meets negative means."""
+        held = {}
+
+        def holding(method):
+            fit = make_fit(method, sym8_tables, 256)
+
+            def wrapped(sample):
+                result = fit(sample)
+                held.setdefault(method, []).append(result.estimate)
+                return result
+            return wrapped
+
+        peak = build_target("gaussian_mixture", {"means": [0.3], "sds": [0.03],
+                                                 "weights": [1.0], "support": [0.0, 1.0]})
+        spec = ProcessSpec("iid", 256, seed=17, target=peak)
+        reports = monte_carlo_risks(spec, {m: holding(m) for m in ("kernel-rot", "HTCV")}, M,
+                                    moment_orders=(1, 2, 3))
+        for report in reports:
+            want = {k: integrated_moments(held[report.method], k) for k in (1, 2, 3)}
+            assert len(held[report.method]) == M
+            assert report.integrated_moments == {k: v for k, (v, _) in want.items()}
+            assert report.moment_clamps == sum(c for _, c in want.values())
+        assert reports[1].moment_clamps > 0
+
+    def test_no_estimate_outlives_its_replicate(self, sine_target, sym8_tables):
+        """When a method fits replicate r, the estimates of replicates before
+        r - 1 are gone; only the latest may still be referenced."""
+        refs = {}
+
+        def tracking(method):
+            fit = make_fit(method, sym8_tables, 256)
+
+            def wrapped(sample):
+                gc.collect()
+                seen = refs.setdefault(method, [])
+                assert all(ref() is None for ref in seen[:-1])
+                result = fit(sample)
+                seen.append(weakref.ref(result.estimate))
+                return result
+            return wrapped
+
+        spec = ProcessSpec("iid", 256, seed=19, target=sine_target)
+        monte_carlo_risks(spec, {m: tracking(m) for m in ("kernel-rot", "HTCV")}, 6,
+                          p_list=(1.0, 2.0), moment_orders=(1, 3))
+        assert [len(seen) for seen in refs.values()] == [6, 6]
 
     def test_report_serializes(self, sine_target):
         spec = ProcessSpec("iid", 64, seed=2, target=sine_target)

@@ -18,6 +18,8 @@ itself runs, as perfbench/stability.py defaults to. Writes one JSON file with:
   two-sided sign-test p-value of those wins against the losses (ties left
   out), the chance of a split at least that lopsided on code that does
   not change the metric;
+- each metric's gain and regression verdicts (see _verdicts), the latter
+  against the metric's `bound` in BENCHMARK.json;
 - the digests of both sides and whether they agree;
 - each side's output digests: the head's tools/output_digests.py run on
   that side's src/, per output and overall;
@@ -31,12 +33,13 @@ itself runs, as perfbench/stability.py defaults to. Writes one JSON file with:
 It ends by printing, for each workload, one line per end-to-end metric (the
 median head/base ratio, the range of the pair ratios, the count of pairs in
 which the head side is better, and the base runs' interquartile range as a
-share of their median) and one line naming the digest keys that differ
-between the sides, or "digests equal". Then one line says whether the two
-sides fail the same Tier-1 tests, naming them, or names the failures on one
-side only, and one line says whether the two sides' output digests are
-equal or names the outputs that differ. Its last line gives both sides'
-line counts of src/wavedens/*.py and the head side's generated share.
+share of their median, then its gain and regression verdicts) and one line
+naming the digest keys that differ between the sides, or "digests equal".
+Then one line says whether the two sides fail the same Tier-1 tests, naming
+them, or names the failures on one side only, and one line says whether the
+two sides' output digests are equal or names the outputs that differ. Its
+last line gives both sides' line counts of src/wavedens/*.py and the head
+side's generated share.
 
 Standard library only; run from anywhere inside the repository.
 """
@@ -167,7 +170,35 @@ def _sign_test(wins: int, losses: int) -> float:
     return min(1.0, 2.0 * tail / 2**trials)
 
 
-def _summary(pairs: list[dict], better: dict) -> dict:
+def _verdicts(base: list[float], head: list[float], better: str, bound: float) -> dict:
+    """One metric's review verdicts from its pairs' base and head values.
+
+    gain: `met` when the head side is better in at least 9 of 10 of all pairs
+    (a tie counts for neither side) and its median beats the base median by
+    more than the base IQR; else `not met`.
+    regression: `over bound` when the head median is worse than the base
+    median by more than `bound`, a share of the base median; `unresolved`
+    when it is not, but the base IQR exceeds that share and some head run
+    does not beat every base run, so the spread could hide such a change;
+    else `none`.
+    """
+    sign = 1 if better == "higher" else -1
+    b, h = _spread(base), _spread(head)
+    wins = sum(sign * (y - x) > 0 for x, y in zip(base, head))
+    gain = wins * 10 >= 9 * len(base) and sign * (h["median"] - b["median"]) > b["iqr"]
+    if sign * (b["median"] - h["median"]) > bound * abs(b["median"]):
+        regression = "over bound"
+    elif (b["iqr"] > bound * abs(b["median"])
+          and not all(sign * (y - x) > 0 for x in base for y in head)):
+        regression = "unresolved"
+    else:
+        regression = "none"
+    return {"gain": "met" if gain else "not met", "regression": regression}
+
+
+def _summary(pairs: list[dict], better: dict, bounds: dict | None = None) -> dict:
+    """Each metric's spreads, ratios, wins and sign test; with `bounds` (each
+    metric's BENCHMARK.json bound), also its _verdicts."""
     out = {}
     for name, direction in better.items():
         base = [p["base"][name] for p in pairs]
@@ -180,6 +211,8 @@ def _summary(pairs: list[dict], better: dict) -> dict:
                      "ratio_median": statistics.median(ratios),
                      "ratio_range": [min(ratios), max(ratios)],
                      "head_better_pairs": wins, "sign_test_p": _sign_test(wins, losses)}
+        if bounds:
+            out[name].update(_verdicts(base, head, direction, bounds[name]))
     return out
 
 
@@ -200,10 +233,12 @@ def _closing_lines(workload: str, entry: dict) -> list[str]:
         low, high = metric["ratio_range"]
         base = metric["base"]
         spread = base["iqr"] / base["median"] if base["median"] else float("nan")
+        verdicts = (f"; gain {metric['gain']}, regression {metric['regression']}"
+                    if "gain" in metric else "")
         lines.append(f"{workload} {name}: head/base x{metric['ratio_median']:.3f} "
                      f"(pairs x{low:.3f} to x{high:.3f}), head better in "
                      f"{metric['head_better_pairs']} of {len(entry['pairs'])}, "
-                     f"base IQR {spread:.1%} of its median")
+                     f"base IQR {spread:.1%} of its median{verdicts}")
     keys = sorted({m["key"] for m in entry["digests"]["mismatches"]})
     lines.append(f"{workload} digests: " + (f"differ in {', '.join(keys)}" if keys
                                             else "digests equal"))
@@ -251,6 +286,7 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     report: dict = {"workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         dirs = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
@@ -285,7 +321,7 @@ def main() -> int:
             report["environment"] = {"nproc": os.cpu_count(), "cpu": env["cpu_model"],
                                      "python": env["python"], "numpy": env["numpy"]}
             report["workloads"][workload] = {
-                "seconds": seconds, "summary": _summary(pairs, better),
+                "seconds": seconds, "summary": _summary(pairs, better, bounds),
                 "digests": _digests(pairs),
                 "pairs": [{k: v for k, v in p.items() if k != "digests"} for p in pairs]}
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
